@@ -2,10 +2,13 @@
 // paper-vs-measured row helpers, CSV output.
 #pragma once
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,22 +33,49 @@ struct RunOptions {
   std::optional<cd::core::CaptureSpec> capture;
 };
 
+/// Strict flag values: the whole value must parse, or the bench exits 2
+/// naming the flag — a typo never falls back to a default silently.
+[[noreturn]] inline void bad_flag_value(const char* flag, const char* value) {
+  std::fprintf(stderr, "error: malformed value '%s' for %s\n", value, flag);
+  std::exit(2);
+}
+
+/// Unsigned decimal value given for `flag` (e.g. "--threads"), at most `max`.
+inline std::uint64_t flag_u64(
+    const char* flag, const char* value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const std::optional<std::uint64_t> v = cd::parse_u64(value);
+  if (!v || *v > max) bad_flag_value(flag, value);
+  return *v;
+}
+
+/// Finite decimal value given for `flag` (e.g. "--scale").
+inline double flag_double(const char* flag, const char* value) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    bad_flag_value(flag, value);
+  }
+  return v;
+}
+
 /// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
-/// so benches keep working under tooling that appends its own flags).
-/// --threads alone implies one shard per thread.
+/// so benches keep working under tooling that appends its own flags;
+/// malformed values exit 2). --threads alone implies one shard per thread.
 inline RunOptions parse_run_options(int argc, char** argv) {
   RunOptions opt;
   bool shards_given = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opt.scale = std::atof(arg + 8);
+      opt.scale = flag_double("--scale", arg + 8);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
+      opt.seed = flag_u64("--seed", arg + 7);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opt.threads = std::strtoull(arg + 10, nullptr, 10);
+      opt.threads = flag_u64("--threads", arg + 10);
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      opt.shards = std::strtoull(arg + 9, nullptr, 10);
+      opt.shards = flag_u64("--shards", arg + 9);
       shards_given = true;
     } else if (std::strcmp(arg, "--wildcard") == 0) {
       opt.wildcard_answers = true;

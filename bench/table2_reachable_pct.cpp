@@ -5,10 +5,11 @@
 #include "bench_common.h"
 #include "util/csv.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace cd;
+  const bench::RunOptions options = bench::parse_run_options(argc, argv);
   std::printf("== table2_reachable_pct: paper Table 2 ==\n");
-  auto run = bench::run_standard_experiment();
+  auto run = bench::run_standard_experiment(options);
 
   auto rows = analysis::dsav_by_country(run.results->records,
                                         run.world->targets, run.world->geo);

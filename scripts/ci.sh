@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# CI entry point: plain build + full test suite, then three sanitizer
-# builds — ThreadSanitizer over the sharded-runner tests (label
-# "parallel") plus the streaming-TCP suite (label "tcp", whose
-# segmentation differential runs campaigns through the sharded runner)
-# and the persistent-transport suite (label "transport", whose campaign
-# differential does the same with pipelined sessions), AddressSanitizer
-# over the fuzz + pcap + batched-delivery + tcp + transport + campaign +
-# crosscheck + poison labels (bit-flip/truncation fuzzing only proves
+# CI entry point: plain build + full test suite, then the campaign
+# benchmark's own tests (perfbench/tests: campaign_bench still builds
+# against src/ and its digests still match perfbench/pins.json), then three
+# sanitizer builds — ThreadSanitizer over the sharded-runner tests (label
+# "parallel") plus the streaming-TCP suite (label "tcp", whose campaign
+# pin rows run through the sharded runner) and the persistent-transport
+# suite (label "transport", whose campaign differential does the same
+# with pipelined sessions), AddressSanitizer over the fuzz + pcap +
+# delivery-pin ("batched") + tcp + transport + campaign + crosscheck +
+# poison labels (bit-flip/truncation fuzzing only proves
 # "throws, never over-reads" when the reads are instrumented, and the TCP
 # reassembly/segment/session paths exercise the pooled-buffer recycling
 # hardest), and UndefinedBehaviorSanitizer over the same labels plus the
@@ -28,11 +30,15 @@ cmake -B "${PREFIX}" -S . >/dev/null
 cmake --build "${PREFIX}" -j
 ctest --test-dir "${PREFIX}" --output-on-failure -j
 
+echo "=== campaign benchmark tests ==="
+python3 -m unittest discover -s perfbench/tests
+
 echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
-# The eventcore label covers the sharded wheel-vs-oracle campaign: each
-# worker thread drives its own timing wheel, so the node pools and slot
-# arrays must be provably unshared under TSan. The transport label runs
-# its persistent-session campaigns through the same threaded runner.
+# The tcp label's campaign pin rows run 4 shards on 2 worker threads, each
+# driving its own timing wheel, so the node pools and slot arrays must be
+# provably unshared under TSan; the eventcore label adds the
+# wheel-vs-reference property programs. The transport label runs its
+# persistent-session campaigns through the same threaded runner.
 cmake -B "${PREFIX}-tsan" -S . -DCD_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
   test_sim_event_core test_transport

@@ -209,10 +209,8 @@ ExperimentResults merge_results(std::vector<ExperimentResults> parts) {
 const ExperimentResults& Experiment::run() {
   if (results_) return *results_;
 
-  // Delivery mode must be set before any traffic is scheduled: packets keep
-  // the mode they were sent under.
-  world_.network->set_batched_delivery(config_.batched_delivery);
-  world_.network->set_tcp_single_buffer(!config_.tcp_segmentation);
+  // Transport policy must be set before any traffic is scheduled:
+  // connections keep the mode they were dialed under.
   {
     cd::sim::TransportOptions transport;
     transport.persistent = config_.persistent_tcp;
@@ -221,9 +219,6 @@ const ExperimentResults& Experiment::run() {
     transport.dot = config_.dot_sessions;
     world_.network->set_transport(transport);
   }
-  world_.loop.set_engine(config_.wheel_event_core
-                             ? cd::sim::EventEngine::kWheel
-                             : cd::sim::EventEngine::kPriorityQueue);
 
   cd::pcap::Capture capture;
   std::optional<cd::sim::Network::TapId> capture_tap;

@@ -14,9 +14,9 @@ namespace cd::sim {
 /// sim::Host's [this, ConnKey] timeout lambdas). Callables that fit —
 /// sizeof(F) <= kInlineSize and nothrow-move-constructible — live entirely
 /// inside the node that carries them: scheduling one costs zero heap
-/// allocations. Oversized or throwing-move callables (e.g. the per-packet
-/// differential-baseline closure that captures a whole net::Packet) fall back
-/// to one heap allocation, exactly like std::function would.
+/// allocations. Oversized or throwing-move callables (e.g. a closure that
+/// captures a whole net::Packet) fall back to one heap allocation, exactly
+/// like std::function would.
 class SmallFn {
  public:
   /// Inline capacity. 48 bytes holds every steady-state closure in the tree

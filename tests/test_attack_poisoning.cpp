@@ -33,6 +33,7 @@
 #include "sim/host.h"
 #include "sim/network.h"
 #include "sim/os_model.h"
+#include "support/materialized_run.h"
 
 namespace {
 
@@ -42,6 +43,7 @@ using attack::PoisonRecord;
 using attack::SpoofInjector;
 using core::capture_digest;
 using core::ExperimentConfig;
+using core::ExperimentResults;
 using core::results_digest;
 using core::run_sharded_experiment;
 using core::ShardedResults;
@@ -83,7 +85,7 @@ PoisonConfig small_poison() {
   return pc;
 }
 
-ExperimentConfig test_config(std::size_t shards, bool stream,
+ExperimentConfig test_config(std::size_t shards,
                              const std::string& spill_dir = {}) {
   ExperimentConfig config;
   config.analyst = scanner::AnalystConfig{};  // exercise replay exclusion
@@ -91,9 +93,17 @@ ExperimentConfig test_config(std::size_t shards, bool stream,
   config.poison = small_poison();
   config.num_shards = shards;
   config.num_threads = shards > 1 ? 2 : 1;
-  config.stream_worlds = stream;
   config.spill_dir = spill_dir;
   return config;
+}
+
+/// One layout of the differential: streamed shard worlds run through the
+/// sharded runner, materialized ones through the test-side reference runner.
+ExperimentResults run_layout(const ditl::WorldSpec& spec, std::size_t shards,
+                             bool stream, const std::string& spill_dir = {}) {
+  const ExperimentConfig config = test_config(shards, spill_dir);
+  return stream ? run_sharded_experiment(spec, config).merged
+                : cd::testing::run_materialized(spec, config);
 }
 
 TEST(PoisonDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
@@ -103,12 +113,11 @@ TEST(PoisonDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
   for (const std::uint64_t seed :
        {std::uint64_t{42}, std::uint64_t{1337}, std::uint64_t{9001}}) {
     const auto spec = attack_spec(seed);
-    const ShardedResults baseline =
-        run_sharded_experiment(spec, test_config(1, /*stream=*/false));
-    ASSERT_GT(baseline.merged.poison_records.size(), 0u) << "seed=" << seed;
-    ASSERT_GT(baseline.merged.poison_triggers, 0u);
+    const ExperimentResults baseline = run_layout(spec, 1, /*stream=*/false);
+    ASSERT_GT(baseline.poison_records.size(), 0u) << "seed=" << seed;
+    ASSERT_GT(baseline.poison_triggers, 0u);
     std::uint64_t reachable = 0;
-    for (const auto& [addr, rec] : baseline.merged.poison_records) {
+    for (const auto& [addr, rec] : baseline.poison_records) {
       reachable += rec.reachable ? 1 : 0;
       if (rec.success) {
         ++total_successes;
@@ -123,7 +132,7 @@ TEST(PoisonDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
       }
     }
     ASSERT_GT(reachable, 0u) << "seed=" << seed << ": no trigger crossed";
-    const std::uint64_t want = results_digest(baseline.merged);
+    const std::uint64_t want = results_digest(baseline);
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       // Capture bytes are pinned per shard count, not across counts: TCP
@@ -133,7 +142,7 @@ TEST(PoisonDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
       // results_digest — poison records included — must hold across counts.
       std::optional<std::uint64_t> want_capture;
       if (shards == 1) {
-        want_capture = capture_digest(baseline.merged.capture);
+        want_capture = capture_digest(baseline.capture);
       }
       for (const bool stream : {false, true}) {
         for (const bool spill : {false, true}) {
@@ -141,23 +150,21 @@ TEST(PoisonDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
           const std::string spill_dir =
               spill ? (dir / ("s" + std::to_string(seed))).string()
                     : std::string{};
-          const ShardedResults run = run_sharded_experiment(
-              spec, test_config(shards, stream, spill_dir));
-          EXPECT_EQ(results_digest(run.merged), want)
+          const ExperimentResults run =
+              run_layout(spec, shards, stream, spill_dir);
+          EXPECT_EQ(results_digest(run), want)
               << "seed=" << seed << " shards=" << shards
               << " stream=" << stream << " spill=" << spill;
           if (!want_capture) {
-            want_capture = capture_digest(run.merged.capture);
+            want_capture = capture_digest(run.capture);
           } else {
-            EXPECT_EQ(capture_digest(run.merged.capture), *want_capture)
+            EXPECT_EQ(capture_digest(run.capture), *want_capture)
                 << "seed=" << seed << " shards=" << shards
                 << " stream=" << stream << " spill=" << spill;
           }
-          EXPECT_EQ(run.merged.poison_records.size(),
-                    baseline.merged.poison_records.size());
-          EXPECT_EQ(run.merged.poison_triggers,
-                    baseline.merged.poison_triggers);
-          EXPECT_EQ(run.merged.poison_forged, baseline.merged.poison_forged);
+          EXPECT_EQ(run.poison_records.size(), baseline.poison_records.size());
+          EXPECT_EQ(run.poison_triggers, baseline.poison_triggers);
+          EXPECT_EQ(run.poison_forged, baseline.poison_forged);
         }
       }
     }

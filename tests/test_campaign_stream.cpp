@@ -1,8 +1,10 @@
 // The bounded-memory campaign guarantees: streamed shard worlds and
 // disk-spilled shard results must be invisible in the evidence — digests
-// bit-identical to the materialized, all-in-memory path for every
-// (seed, shards) tested — and the spill codec must be a strict round-trip
-// that can never parse a truncated file as partial results.
+// bit-identical to the materialized, all-in-memory reference runner
+// (tests/support/materialized_run.h) for every (seed, shards) tested — the
+// spill codec must be a strict round-trip that can never parse a truncated
+// file as partial results, and a failing shard must fail the campaign fast
+// without leaving spill files behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "ditl/world.h"
 #include "net/packet.h"
 #include "scanner/prober.h"
+#include "support/materialized_run.h"
 #include "util/error.h"
 #include "util/rss.h"
 
@@ -45,14 +48,13 @@ cd::ditl::WorldSpec test_spec(std::uint64_t seed) {
   return spec;
 }
 
-ExperimentConfig test_config(std::size_t shards, bool stream,
+ExperimentConfig test_config(std::size_t shards,
                              const std::string& spill_dir = {}) {
   ExperimentConfig config;
   config.analyst = cd::scanner::AnalystConfig{};  // exercise the replay path
   config.capture = cd::core::CaptureSpec{};       // and the capture merge
   config.num_shards = shards;
   config.num_threads = shards > 1 ? 2 : 1;
-  config.stream_worlds = stream;
   config.spill_dir = spill_dir;
   return config;
 }
@@ -63,22 +65,20 @@ TEST(CampaignStream, StreamedWorldsMatchMaterializedDigests) {
   for (const std::uint64_t seed :
        {std::uint64_t{42}, std::uint64_t{1337}, std::uint64_t{9001}}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const ShardedResults materialized = run_sharded_experiment(
-          test_spec(seed), test_config(shards, /*stream=*/false));
-      const ShardedResults streamed = run_sharded_experiment(
-          test_spec(seed), test_config(shards, /*stream=*/true));
-      ASSERT_GT(materialized.merged.records.size(), 0u);
-      EXPECT_EQ(results_digest(streamed.merged),
-                results_digest(materialized.merged))
+      const ExperimentResults materialized = cd::testing::run_materialized(
+          test_spec(seed), test_config(shards));
+      const ShardedResults streamed =
+          run_sharded_experiment(test_spec(seed), test_config(shards));
+      ASSERT_GT(materialized.records.size(), 0u);
+      EXPECT_EQ(results_digest(streamed.merged), results_digest(materialized))
           << "seed=" << seed << " shards=" << shards;
       // Same shard partition either way, so even the *full* capture — probe
       // plane plus resolver traffic — must be byte-identical.
       EXPECT_EQ(capture_digest(streamed.merged.capture),
-                capture_digest(materialized.merged.capture))
+                capture_digest(materialized.capture))
           << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(streamed.merged.queries_sent, materialized.merged.queries_sent);
-      EXPECT_EQ(streamed.merged.records.size(),
-                materialized.merged.records.size());
+      EXPECT_EQ(streamed.merged.queries_sent, materialized.queries_sent);
+      EXPECT_EQ(streamed.merged.records.size(), materialized.records.size());
     }
   }
 }
@@ -146,9 +146,9 @@ TEST(CampaignSpill, SpilledCampaignMatchesInMemoryAndCleansUp) {
   std::filesystem::remove_all(dir);
   for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{1337}}) {
     const ShardedResults in_memory =
-        run_sharded_experiment(test_spec(seed), test_config(4, true));
+        run_sharded_experiment(test_spec(seed), test_config(4));
     const ShardedResults spilled = run_sharded_experiment(
-        test_spec(seed), test_config(4, true, dir.string()));
+        test_spec(seed), test_config(4, dir.string()));
     EXPECT_EQ(results_digest(spilled.merged), results_digest(in_memory.merged))
         << "seed=" << seed;
     EXPECT_EQ(capture_digest(spilled.merged.capture),
@@ -161,6 +161,56 @@ TEST(CampaignSpill, SpilledCampaignMatchesInMemoryAndCleansUp) {
     // Spill files are consumed by the merge; nothing lingers on disk.
     ASSERT_TRUE(std::filesystem::exists(dir));
     EXPECT_TRUE(std::filesystem::is_empty(dir));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignSpill, FailingShardFailsFastNamesItAndCleansUp) {
+  // A directory squatting on shard 2's spill path makes write_results fail
+  // for that shard only. The runner must throw, name shard 2, and leave no
+  // shard_*.cdsp file behind — neither the shards that spilled before the
+  // failure nor any that ran alongside it.
+  const auto dir = std::filesystem::temp_directory_path() / "cd_spill_failfast";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "shard_2.cdsp");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ExperimentConfig config = test_config(6, dir.string());
+    config.num_threads = threads;
+    std::string message;
+    try {
+      (void)run_sharded_experiment(test_spec(42), config);
+    } catch (const cd::Error& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find("shard 2"), std::string::npos)
+        << "threads=" << threads << ": " << message;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      EXPECT_FALSE(entry.is_regular_file())
+          << "threads=" << threads << ": left behind "
+          << entry.path().filename();
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignSpill, UnreadableSpillIsAParseErrorNamingItsShard) {
+  // Shard 1's spill path is a symlink to /dev/null: its write succeeds,
+  // but the merge reads back zero bytes. That must surface as a ParseError
+  // naming shard 1, and the spills not yet merged must still be removed.
+  const auto dir = std::filesystem::temp_directory_path() / "cd_spill_unread";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/null", dir / "shard_1.cdsp");
+  std::string message;
+  try {
+    (void)run_sharded_experiment(test_spec(42), test_config(4, dir.string()));
+  } catch (const cd::ParseError& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("shard 1"), std::string::npos) << message;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.is_regular_file())
+        << "left behind " << entry.path().filename();
   }
   std::filesystem::remove_all(dir);
 }
@@ -425,10 +475,10 @@ TEST(CampaignMemory, PeakRssBoundedRegardlessOfTargetCount) {
   large.n_asns *= 2;
 
   const auto dir = std::filesystem::temp_directory_path() / "cd_spill_rss";
-  ExperimentConfig config = test_config(4, true, (dir / "a").string());
+  ExperimentConfig config = test_config(4, (dir / "a").string());
   config.capture.reset();  // captures are O(traffic) by design
   const ShardedResults a = run_sharded_experiment(small, config);
-  config = test_config(8, true, (dir / "b").string());
+  config = test_config(8, (dir / "b").string());
   config.capture.reset();
   config.num_threads = 2;
   const ShardedResults b = run_sharded_experiment(large, config);

@@ -18,11 +18,13 @@
 #include "ditl/world.h"
 #include "scanner/crosscheck.h"
 #include "scanner/prober.h"
+#include "support/materialized_run.h"
 #include "util/error.h"
 
 namespace {
 
 using cd::core::ExperimentConfig;
+using cd::core::ExperimentResults;
 using cd::core::results_digest;
 using cd::core::run_sharded_experiment;
 using cd::core::ShardedResults;
@@ -53,16 +55,24 @@ cd::ditl::WorldSpec test_spec(std::uint64_t seed, int n_asns) {
   return spec;
 }
 
-ExperimentConfig test_config(std::size_t shards, bool stream,
+ExperimentConfig test_config(std::size_t shards,
                              const std::string& spill_dir = {}) {
   ExperimentConfig config;
   config.analyst = cd::scanner::AnalystConfig{};  // exercise replay exclusion
   config.crosscheck = test_crosscheck(64);
   config.num_shards = shards;
   config.num_threads = shards > 1 ? 2 : 1;
-  config.stream_worlds = stream;
   config.spill_dir = spill_dir;
   return config;
+}
+
+/// One layout of the differential: streamed shard worlds run through the
+/// sharded runner, materialized ones through the test-side reference runner.
+ExperimentResults run_layout(const cd::ditl::WorldSpec& spec, std::size_t shards,
+                             bool stream, const std::string& spill_dir = {}) {
+  const ExperimentConfig config = test_config(shards, spill_dir);
+  return stream ? run_sharded_experiment(spec, config).merged
+                : cd::testing::run_materialized(spec, config);
 }
 
 // --- differential battery ---------------------------------------------------
@@ -77,12 +87,11 @@ TEST(CrossCheckDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
     // one attributable in-window resolver behind an open border (seed 1337
     // puts every one of its behind DSAV/uRPF below that).
     const auto spec = test_spec(seed, 14);
-    const ShardedResults baseline =
-        run_sharded_experiment(spec, test_config(1, /*stream=*/false));
-    ASSERT_GT(baseline.merged.crosscheck_probes, 0u) << "seed=" << seed;
-    ASSERT_GT(baseline.merged.crosscheck_records.size(), 0u)
+    const ExperimentResults baseline = run_layout(spec, 1, /*stream=*/false);
+    ASSERT_GT(baseline.crosscheck_probes, 0u) << "seed=" << seed;
+    ASSERT_GT(baseline.crosscheck_records.size(), 0u)
         << "seed=" << seed << ": no /24 collected any evidence";
-    const std::uint64_t want = results_digest(baseline.merged);
+    const std::uint64_t want = results_digest(baseline);
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       for (const bool stream : {false, true}) {
@@ -91,15 +100,14 @@ TEST(CrossCheckDifferential, DigestInvariantAcrossShardsStreamAndSpill) {
           const std::string spill_dir =
               spill ? (dir / ("s" + std::to_string(seed))).string()
                     : std::string{};
-          const ShardedResults run = run_sharded_experiment(
-              spec, test_config(shards, stream, spill_dir));
-          EXPECT_EQ(results_digest(run.merged), want)
+          const ExperimentResults run =
+              run_layout(spec, shards, stream, spill_dir);
+          EXPECT_EQ(results_digest(run), want)
               << "seed=" << seed << " shards=" << shards
               << " stream=" << stream << " spill=" << spill;
-          EXPECT_EQ(run.merged.crosscheck_probes,
-                    baseline.merged.crosscheck_probes);
-          EXPECT_EQ(run.merged.crosscheck_records.size(),
-                    baseline.merged.crosscheck_records.size());
+          EXPECT_EQ(run.crosscheck_probes, baseline.crosscheck_probes);
+          EXPECT_EQ(run.crosscheck_records.size(),
+                    baseline.crosscheck_records.size());
         }
       }
     }

@@ -1,203 +1,55 @@
-// The batched-delivery equivalence guarantee: coalescing same-tick packet
-// deliveries per destination host (sim::Network batched mode, the default)
-// must be observably invisible. The differential harness runs the quickstart
-// campaign batched vs unbatched across seeds and shard counts and demands
-// identical results_digest and capture_digest — full captures, drops
-// included, follow-ups and analyst replays on — and re-verifies the golden
-// fixture (tests/fixtures/quickstart.pcap + .idx) byte-for-byte with
-// batching enabled AND disabled, so neither path can drift from the other
-// or from the checked-in wire surface.
+// The delivery path's golden pins: coalescing same-tick packet deliveries
+// per destination host (sim::Network) must leave every campaign exactly
+// where the retired per-packet path and the retired priority-queue event
+// engine left it. The analyst-shape rows of the campaign pin table
+// (tests/support/campaign_pins.h) run across seeds and shard counts — full
+// captures, drops included, follow-ups and analyst replays on — and must
+// reproduce their results_digest, capture_digest and per-record first-hit
+// timing digest, recorded where every retired path agreed on all three.
+// The 6-AS fixture-shape rows run in test_sim_tcp; the checked-in golden
+// capture itself is re-verified byte for byte by test_golden_pcap.
 #include <gtest/gtest.h>
-
-#include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "core/parallel.h"
 #include "ditl/world.h"
-#include "util/pcap.h"
+#include "support/campaign_pins.h"
 
 namespace {
 
-using cd::core::CaptureSpec;
-using cd::core::ExperimentConfig;
 using cd::core::ShardedResults;
 using cd::core::capture_digest;
 using cd::core::results_digest;
 using cd::core::run_sharded_experiment;
+using cd::testing::CampaignPin;
+using cd::testing::PinShape;
 
-cd::ditl::WorldSpec spec_for(std::uint64_t seed) {
-  cd::ditl::WorldSpec spec = cd::ditl::small_world_spec();
-  spec.seed = seed;
-  return spec;
-}
+TEST(DeliveryPins, AnalystCampaignsMatchPinsAcrossSeedsAndShards) {
+  int rows = 0;
+  for (const CampaignPin& pin : cd::testing::kCampaignPins) {
+    if (pin.shape != PinShape::kAnalyst) continue;
+    ++rows;
+    const ShardedResults out =
+        run_sharded_experiment(cd::testing::pin_spec(pin.shape, pin.seed),
+                               cd::testing::pin_config(pin.shape, pin.shards));
+    const auto& merged = out.merged;
+    ASSERT_GT(merged.records.size(), 0u)
+        << "seed=" << pin.seed << ": campaign saw no targets";
+    ASSERT_FALSE(merged.capture.records.empty())
+        << "seed=" << pin.seed << ": campaign captured nothing";
+    EXPECT_EQ(results_digest(merged), pin.results)
+        << "seed=" << pin.seed << " shards=" << pin.shards;
+    EXPECT_EQ(capture_digest(merged.capture), pin.capture)
+        << "seed=" << pin.seed << " shards=" << pin.shards;
+    EXPECT_EQ(cd::testing::first_hit_digest(merged), pin.first_hits)
+        << "seed=" << pin.seed << " shards=" << pin.shards;
 
-/// Full-fat campaign config: capture with drop annotations, follow-up
-/// batteries, IDS analyst replays — every delivery consumer in the tree.
-ExperimentConfig campaign_config(bool batched, std::size_t shards) {
-  ExperimentConfig config;
-  config.batched_delivery = batched;
-  config.num_shards = shards;
-  config.num_threads = shards > 1 ? 2 : 1;
-  config.analyst = cd::scanner::AnalystConfig{};
-  CaptureSpec capture;
-  capture.include_drops = true;
-  config.capture = capture;
-  return config;
-}
-
-TEST(BatchedDifferential, DigestsMatchUnbatchedAcrossSeedsAndShards) {
-  const std::vector<std::uint64_t> seeds{7, 42, 99, 1337, 2020};
-  for (const std::uint64_t seed : seeds) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const ShardedResults batched = run_sharded_experiment(
-          spec_for(seed), campaign_config(true, shards));
-      const ShardedResults unbatched = run_sharded_experiment(
-          spec_for(seed), campaign_config(false, shards));
-
-      ASSERT_GT(batched.merged.records.size(), 0u)
-          << "seed=" << seed << ": campaign saw no targets";
-      EXPECT_EQ(results_digest(batched.merged),
-                results_digest(unbatched.merged))
-          << "seed=" << seed << " shards=" << shards;
-      ASSERT_FALSE(batched.merged.capture.records.empty())
-          << "seed=" << seed << ": campaign captured nothing";
-      EXPECT_EQ(capture_digest(batched.merged.capture),
-                capture_digest(unbatched.merged.capture))
-          << "seed=" << seed << " shards=" << shards;
-      // Digest collisions are astronomically unlikely, but the full byte
-      // comparison is nearly free on top of the runs themselves.
-      EXPECT_EQ(batched.merged.capture.to_pcap(),
-                unbatched.merged.capture.to_pcap())
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(batched.merged.capture.to_index(),
-                unbatched.merged.capture.to_index())
-          << "seed=" << seed << " shards=" << shards;
-
-      // Same campaign either way, and batching actually coalesced: fewer
-      // drain events than delivered packets, none with batching off.
-      EXPECT_EQ(batched.merged.queries_sent, unbatched.merged.queries_sent);
-      EXPECT_EQ(batched.merged.followup_batteries,
-                unbatched.merged.followup_batteries);
-      EXPECT_EQ(batched.merged.analyst_replays,
-                unbatched.merged.analyst_replays);
-      EXPECT_EQ(batched.merged.network_stats.delivered,
-                unbatched.merged.network_stats.delivered);
-      EXPECT_GT(batched.merged.network_stats.delivery_batches, 0u);
-      EXPECT_LE(batched.merged.network_stats.delivery_batches,
-                batched.merged.network_stats.delivered);
-      EXPECT_EQ(unbatched.merged.network_stats.delivery_batches, 0u);
-    }
+    // Batching actually coalesced: one drain event per (tick, host) slot,
+    // never more slots than delivered packets.
+    EXPECT_GT(merged.network_stats.delivery_batches, 0u);
+    EXPECT_LE(merged.network_stats.delivery_batches,
+              merged.network_stats.delivered);
   }
-}
-
-TEST(BatchedDifferential, RecordsMatchFieldByFieldOnOneSeed) {
-  const ShardedResults batched =
-      run_sharded_experiment(spec_for(42), campaign_config(true, 4));
-  const ShardedResults unbatched =
-      run_sharded_experiment(spec_for(42), campaign_config(false, 4));
-  ASSERT_EQ(batched.merged.records.size(), unbatched.merged.records.size());
-  for (const auto& [addr, expect] : unbatched.merged.records) {
-    const auto it = batched.merged.records.find(addr);
-    ASSERT_NE(it, batched.merged.records.end()) << addr.to_string();
-    const auto& got = it->second;
-    EXPECT_EQ(got.sources_hit, expect.sources_hit) << addr.to_string();
-    EXPECT_EQ(got.categories_hit, expect.categories_hit) << addr.to_string();
-    // Batching preserves even the timing artifacts sharding is allowed to
-    // perturb: arrival times are identical per packet, not just per digest.
-    EXPECT_EQ(got.first_hit_time, expect.first_hit_time) << addr.to_string();
-    EXPECT_EQ(got.first_hit_source, expect.first_hit_source);
-    EXPECT_EQ(got.ports_v4, expect.ports_v4) << addr.to_string();
-    EXPECT_EQ(got.ports_v6, expect.ports_v6) << addr.to_string();
-    EXPECT_EQ(got.open_hit, expect.open_hit);
-    EXPECT_EQ(got.tcp_hit, expect.tcp_hit);
-  }
-  EXPECT_EQ(batched.merged.qmin_asns, unbatched.merged.qmin_asns);
-  EXPECT_EQ(batched.merged.lifetime_excluded_targets,
-            unbatched.merged.lifetime_excluded_targets);
-}
-
-TEST(BatchedDifferential, DigestsMatchOracleEventEngineAcrossSeedsAndShards) {
-  // The wheel-vs-oracle axis on the same full-fat harness: with batching on
-  // (the production configuration), the timing-wheel event core must be
-  // indistinguishable from the retired priority-queue engine — evidence,
-  // capture digests, and exported wire bytes — across seeds and shard
-  // counts.
-  for (const std::uint64_t seed : {7ULL, 42ULL, 99ULL, 1337ULL, 2020ULL}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      ExperimentConfig oracle_config = campaign_config(true, shards);
-      oracle_config.wheel_event_core = false;
-      const ShardedResults wheel = run_sharded_experiment(
-          spec_for(seed), campaign_config(true, shards));
-      const ShardedResults oracle =
-          run_sharded_experiment(spec_for(seed), oracle_config);
-
-      ASSERT_GT(wheel.merged.records.size(), 0u)
-          << "seed=" << seed << ": campaign saw no targets";
-      EXPECT_EQ(results_digest(wheel.merged), results_digest(oracle.merged))
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(capture_digest(wheel.merged.capture),
-                capture_digest(oracle.merged.capture))
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(wheel.merged.capture.to_pcap(),
-                oracle.merged.capture.to_pcap())
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(wheel.merged.capture.to_index(),
-                oracle.merged.capture.to_index())
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(wheel.merged.network_stats.delivered,
-                oracle.merged.network_stats.delivered);
-    }
-  }
-}
-
-// --- golden fixture re-verification ------------------------------------------
-
-std::string fixture_path(const char* name) {
-  return std::string(CD_FIXTURE_DIR) + "/" + name;
-}
-
-/// The exact campaign test_golden_pcap.cpp pins, parameterized by delivery
-/// mode (the fixture itself predates batching: it was generated by the
-/// per-packet path).
-cd::pcap::Capture golden_campaign(bool batched) {
-  cd::ditl::WorldSpec spec = cd::ditl::small_world_spec();
-  spec.n_asns = 6;
-  spec.seed = 42;
-  ExperimentConfig config;
-  config.batched_delivery = batched;
-  CaptureSpec capture;
-  capture.include_drops = true;
-  config.capture = capture;
-  return run_sharded_experiment(spec, config).merged.capture;
-}
-
-TEST(BatchedGoldenPcap, FixtureBytesIdenticalWithBatchingOnAndOff) {
-  if (std::getenv("CD_GOLDEN_WRITE") != nullptr) {
-    GTEST_SKIP() << "fixture being regenerated";
-  }
-  const auto golden_pcap = cd::pcap::read_file(fixture_path("quickstart.pcap"));
-  const auto golden_index =
-      cd::pcap::read_file(fixture_path("quickstart.pcap.idx"));
-
-  for (const bool batched : {true, false}) {
-    const cd::pcap::Capture capture = golden_campaign(batched);
-    ASSERT_FALSE(capture.records.empty());
-    const auto pcap_bytes = capture.to_pcap();
-    const auto index_bytes = capture.to_index();
-    ASSERT_EQ(pcap_bytes.size(), golden_pcap.size())
-        << "batched=" << batched;
-    ASSERT_EQ(index_bytes.size(), golden_index.size())
-        << "batched=" << batched;
-    for (std::size_t i = 0; i < pcap_bytes.size(); ++i) {
-      ASSERT_EQ(pcap_bytes[i], golden_pcap[i])
-          << "batched=" << batched << ": pcap differs at offset " << i;
-    }
-    for (std::size_t i = 0; i < index_bytes.size(); ++i) {
-      ASSERT_EQ(index_bytes[i], golden_index[i])
-          << "batched=" << batched << ": index differs at offset " << i;
-    }
-  }
+  EXPECT_EQ(rows, 10);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Unit + integration tests: streaming MSS-segmented TCP — stream
 // reassembly, segmentation caps at the peer's SYN-advertised MSS,
 // deterministic connection teardown (no stray timeout events), the
-// truncated-mid-stream timeout path, and the differential proving
-// segmented exchanges byte-identical to the single-buffer baseline.
+// truncated-mid-stream timeout path, segmented streams reassembling to the
+// exact framed response, and the fixture-shape rows of the campaign pin
+// table (tests/support/campaign_pins.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "net/packet.h"
 #include "sim/host.h"
 #include "sim/network.h"
+#include "support/campaign_pins.h"
 #include "util/pcap.h"
 #include "util/rng.h"
 
@@ -347,123 +349,69 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
   EXPECT_EQ(f.client->open_tcp_connections(), 0u);
 }
 
-// --- differential: segmented vs single-buffer baseline ----------------------
+// --- segmented streams reassemble exactly -----------------------------------
 
-struct DiffOutcome {
-  std::vector<std::uint8_t> reply;
-  std::vector<std::uint8_t> concat;
-  std::vector<std::uint8_t> expected;
-};
-
-DiffOutcome run_framed_exchange(std::uint64_t seed, bool single_buffer) {
-  TcpFixture f(seed);
-  f.network.set_tcp_single_buffer(single_buffer);
-  const cd::GatherBuf resp =
-      framed(pattern(4000 + seed % 700, static_cast<std::uint8_t>(seed)));
-  DiffOutcome out;
-  out.expected = resp.to_vector();
-  f.server->tcp_listen(
-      53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-        return resp;
-      });
-  pcap::Capture capture;
-  f.network.attach_capture(capture);
-  std::optional<std::vector<std::uint8_t>> r;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{0, 2, 0xAB, 0xCD},
-                        [&r](auto x) { r = std::move(x); });
-  f.loop.run();
-  EXPECT_TRUE(r.has_value());
-  if (r.has_value()) out.reply = std::move(*r);
-  for (const Seg& s : data_segments(capture, f.saddr, f.caddr)) {
-    EXPECT_LE(s.payload.size(), single_buffer ? out.expected.size() : kMss);
-    out.concat.insert(out.concat.end(), s.payload.begin(), s.payload.end());
-  }
-  return out;
-}
-
-TEST(TcpDifferential, SegmentedMatchesSingleBufferAcrossSeeds) {
+TEST(TcpSegmentation, SegmentedStreamsReassembleAcrossSeeds) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    const DiffOutcome seg = run_framed_exchange(seed, /*single_buffer=*/false);
-    const DiffOutcome one = run_framed_exchange(seed, /*single_buffer=*/true);
-    // Both modes reassemble to the exact framed response, and the captured
-    // payload bytes concatenate to the same stream either way.
-    EXPECT_EQ(seg.reply, seg.expected) << "seed " << seed;
-    EXPECT_EQ(one.reply, one.expected) << "seed " << seed;
-    EXPECT_EQ(seg.concat, seg.expected) << "seed " << seed;
-    EXPECT_EQ(one.concat, one.expected) << "seed " << seed;
+    TcpFixture f(seed);
+    const cd::GatherBuf resp =
+        framed(pattern(4000 + seed % 700, static_cast<std::uint8_t>(seed)));
+    const std::vector<std::uint8_t> expected = resp.to_vector();
+    f.server->tcp_listen(
+        53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
+          return resp;
+        });
+    pcap::Capture capture;
+    f.network.attach_capture(capture);
+    std::optional<std::vector<std::uint8_t>> reply;
+    f.client->tcp_connect(f.caddr, f.saddr, 53,
+                          std::vector<std::uint8_t>{0, 2, 0xAB, 0xCD},
+                          [&reply](auto r) { reply = std::move(r); });
+    f.loop.run();
+    // The reply reassembles to the exact framed response, and the captured
+    // MSS-capped payloads concatenate to the same stream.
+    ASSERT_TRUE(reply.has_value()) << "seed " << seed;
+    EXPECT_EQ(*reply, expected) << "seed " << seed;
+    std::vector<std::uint8_t> concat;
+    for (const Seg& s : data_segments(capture, f.saddr, f.caddr)) {
+      EXPECT_LE(s.payload.size(), kMss) << "seed " << seed;
+      concat.insert(concat.end(), s.payload.begin(), s.payload.end());
+    }
+    EXPECT_EQ(concat, expected) << "seed " << seed;
   }
 }
 
 // --- campaign level ----------------------------------------------------------
 
-core::ExperimentConfig diff_config(bool segmentation) {
-  core::ExperimentConfig config;
-  core::CaptureSpec capture;
-  capture.include_drops = true;
-  config.capture = capture;
-  config.tcp_segmentation = segmentation;
-  return config;
-}
-
-ditl::WorldSpec diff_spec(std::uint64_t seed) {
-  ditl::WorldSpec spec = ditl::small_world_spec();
-  spec.n_asns = 6;
-  spec.seed = seed;
-  return spec;
-}
-
-TEST(TcpDifferential, CampaignEvidenceInvariantAcrossSegmentationModes) {
-  // Scan evidence must not depend on how DNS-over-TCP responses are cut
-  // into segments: results_digest (which ignores timestamps and wire
-  // artifacts) is equal with segmentation on and off, seed by seed.
-  for (const std::uint64_t seed : {7ULL, 42ULL, 99ULL}) {
-    const auto on = core::run_sharded_experiment(diff_spec(seed),
-                                                 diff_config(true));
-    const auto off = core::run_sharded_experiment(diff_spec(seed),
-                                                  diff_config(false));
-    EXPECT_EQ(core::results_digest(on.merged),
-              core::results_digest(off.merged))
-        << "seed " << seed;
+TEST(TcpCampaignPins, FixtureCampaignsMatchPinsAcrossSeedsAndShards) {
+  // The TCP-heavy fixture shape (every TC=1 retry exercises handshake
+  // timers, per-segment delivery events and teardown cancellations) must
+  // reproduce the evidence, wire bytes and first-hit timing recorded where
+  // segmented and single-buffer TCP, and both event engines, all agreed.
+  int rows = 0;
+  for (const cd::testing::CampaignPin& pin : cd::testing::kCampaignPins) {
+    if (pin.shape != cd::testing::PinShape::kFixture) continue;
+    ++rows;
+    const auto out = core::run_sharded_experiment(
+        cd::testing::pin_spec(pin.shape, pin.seed),
+        cd::testing::pin_config(pin.shape, pin.shards));
+    EXPECT_EQ(core::results_digest(out.merged), pin.results)
+        << "seed " << pin.seed << " shards " << pin.shards;
+    EXPECT_EQ(core::capture_digest(out.merged.capture), pin.capture)
+        << "seed " << pin.seed << " shards " << pin.shards;
+    EXPECT_EQ(cd::testing::first_hit_digest(out.merged), pin.first_hits)
+        << "seed " << pin.seed << " shards " << pin.shards;
   }
-}
-
-TEST(TcpDifferential, CampaignEvidenceInvariantAcrossEventEngines) {
-  // The wheel-vs-oracle axis over the TCP-heavy campaign: with segmentation
-  // on (every TC=1 retry exercises handshake timers, per-segment delivery
-  // events and teardown cancellations), both event engines must produce
-  // byte-identical evidence AND wire bytes, across seeds and shard counts.
-  for (const std::uint64_t seed : {7ULL, 42ULL, 99ULL, 1337ULL, 2020ULL}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      core::ExperimentConfig wheel_config = diff_config(true);
-      wheel_config.num_shards = shards;
-      wheel_config.num_threads = shards > 1 ? 2 : 1;
-      core::ExperimentConfig oracle_config = wheel_config;
-      oracle_config.wheel_event_core = false;
-
-      const auto wheel =
-          core::run_sharded_experiment(diff_spec(seed), wheel_config);
-      const auto oracle =
-          core::run_sharded_experiment(diff_spec(seed), oracle_config);
-      EXPECT_EQ(core::results_digest(wheel.merged),
-                core::results_digest(oracle.merged))
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(core::capture_digest(wheel.merged.capture),
-                core::capture_digest(oracle.merged.capture))
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(wheel.merged.capture.to_pcap(),
-                oracle.merged.capture.to_pcap())
-          << "seed " << seed << " shards " << shards;
-    }
-  }
+  EXPECT_EQ(rows, 10);
 }
 
 TEST(TcpSegmentation, NoCampaignSegmentExceedsAdvertisedMss) {
   // Over a full captured campaign (TC=1 elicitation drives real
   // DNS-over-TCP): every TCP data segment from A to B is capped at the MSS
   // that B advertised on that connection's SYN or SYN-ACK.
-  const auto sharded =
-      core::run_sharded_experiment(diff_spec(42), diff_config(true));
+  const auto sharded = core::run_sharded_experiment(
+      cd::testing::pin_spec(cd::testing::PinShape::kFixture, 42),
+      cd::testing::pin_config(cd::testing::PinShape::kFixture, 1));
   const pcap::Capture& capture = sharded.merged.capture;
 
   using FlowKey = std::tuple<IpAddr, std::uint16_t, IpAddr, std::uint16_t>;

@@ -25,6 +25,7 @@
 #include "scanner/followup.h"
 #include "sim/host.h"
 #include "sim/network.h"
+#include "support/materialized_run.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -437,14 +438,12 @@ ditl::WorldSpec camp_spec(std::uint64_t seed) {
 }
 
 core::ExperimentConfig camp_config(bool persistent, std::size_t shards,
-                                   const std::string& spill_dir = {},
-                                   bool stream = true) {
+                                   const std::string& spill_dir = {}) {
   core::ExperimentConfig config;
   config.followup.transport = scanner::FollowupTransport::kTcp;
   config.persistent_tcp = persistent;
   config.num_shards = shards;
   config.num_threads = shards > 1 ? 2 : 1;
-  config.stream_worlds = stream;
   config.spill_dir = spill_dir;
   return config;
 }
@@ -501,15 +500,15 @@ TEST(TransportCampaign, PersistentRepliesMatchOneShotWhileDialsDrop) {
     EXPECT_EQ(sess1.merged.transport.handshake_bytes, 0u);
   }
 
-  // One extra layout on one seed: materialized worlds, no spill — the
-  // differential holds on that axis too.
-  const auto sess4m = core::run_sharded_experiment(
-      camp_spec(42), camp_config(true, 4, {}, /*stream=*/false));
+  // One extra layout on one seed: materialized worlds (the test-side
+  // reference runner), no spill — the differential holds on that axis too.
+  const core::ExperimentResults sess4m =
+      cd::testing::run_materialized(camp_spec(42), camp_config(true, 4));
   const auto sess1ref =
       core::run_sharded_experiment(camp_spec(42), camp_config(true, 1));
-  EXPECT_EQ(core::results_digest(sess4m.merged),
+  EXPECT_EQ(core::results_digest(sess4m),
             core::results_digest(sess1ref.merged));
-  EXPECT_EQ(sess4m.merged.transport_replies, sess1ref.merged.transport_replies);
+  EXPECT_EQ(sess4m.transport_replies, sess1ref.merged.transport_replies);
 
   std::filesystem::remove_all(spill);
 }
