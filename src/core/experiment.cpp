@@ -150,51 +150,6 @@ void Experiment::build_attack_plane() {
   }
 }
 
-void merge_into(ExperimentResults& acc, ExperimentResults part, bool first) {
-  for (auto& [addr, record] : part.records) {
-    const bool inserted = acc.records.emplace(addr, std::move(record)).second;
-    CD_ENSURE(inserted, "merge_results: target present in two shards");
-  }
-  acc.collector_stats += part.collector_stats;
-  acc.qmin_asns.insert(part.qmin_asns.begin(), part.qmin_asns.end());
-  acc.lifetime_excluded_targets.insert(part.lifetime_excluded_targets.begin(),
-                                       part.lifetime_excluded_targets.end());
-  acc.network_stats += part.network_stats;
-  acc.queries_sent += part.queries_sent;
-  acc.followup_batteries += part.followup_batteries;
-  acc.analyst_replays += part.analyst_replays;
-  for (auto& [base, record] : part.crosscheck_records) {
-    const bool inserted =
-        acc.crosscheck_records.emplace(base, std::move(record)).second;
-    CD_ENSURE(inserted, "merge_results: /24 present in two shards");
-  }
-  acc.crosscheck_probes += part.crosscheck_probes;
-  for (auto& [addr, record] : part.poison_records) {
-    const bool inserted =
-        acc.poison_records.emplace(addr, std::move(record)).second;
-    CD_ENSURE(inserted, "merge_results: victim present in two shards");
-  }
-  acc.poison_triggers += part.poison_triggers;
-  acc.poison_forged += part.poison_forged;
-  acc.transport += part.transport;
-  for (const auto& [addr, digest] : part.transport_replies) {
-    const bool inserted = acc.transport_replies.emplace(addr, digest).second;
-    CD_ENSURE(inserted, "merge_results: transport target in two shards");
-  }
-
-  if (first) {
-    acc.capture = std::move(part.capture);
-  } else {
-    CD_ENSURE(part.capture.snaplen == acc.capture.snaplen &&
-                  part.capture.linktype == acc.capture.linktype,
-              "merge_results: mismatched capture parameters");
-    acc.capture.records.insert(
-        acc.capture.records.end(),
-        std::make_move_iterator(part.capture.records.begin()),
-        std::make_move_iterator(part.capture.records.end()));
-  }
-}
-
 ExperimentResults merge_results(std::vector<ExperimentResults> parts) {
   ExperimentResults merged;
   bool first = true;

@@ -147,10 +147,7 @@ struct ExperimentResults {
   std::uint64_t poison_forged = 0;
   /// Transport plane: connection-economics counters summed over every host
   /// in this shard's world (client dials, server accepts, session reuses,
-  /// pipelined messages, idle closes, DoT handshake bytes). Deliberately
-  /// outside results_digest — like network_stats, these are wire economics,
-  /// not per-target evidence; the transport differential tests compare them
-  /// directly.
+  /// pipelined messages, idle closes, DoT handshake bytes).
   cd::sim::TransportCounters transport;
   /// Per-target digests of the framed TCP replies the scanner's transport
   /// battery received (empty unless followup.transport is kTcp). Targets

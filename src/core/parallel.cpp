@@ -24,33 +24,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// Incremental FNV-1a over a canonical little-endian serialization.
-class Digest {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void addr(const cd::net::IpAddr& a) {
-    u64(a.is_v6() ? 6 : 4);
-    u64(a.bits().hi);
-    u64(a.bits().lo);
-  }
-  void bytes(const std::vector<std::uint8_t>& data) {
-    u64(data.size());
-    for (std::uint8_t b : data) byte(b);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  void byte(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x00000100000001B3ULL;
-  }
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
 struct ShardOutcome {
   std::optional<ExperimentResults> results;
   std::string spill_path;  // non-empty: results live on disk, not in memory
@@ -126,7 +99,7 @@ void remove_spill(ShardOutcome& out) {
 
 double ShardedResults::aggregate_ms() const {
   double total = 0.0;
-  for (const ShardTiming& t : shards) total += t.gen_ms + t.run_ms;
+  for (const ShardTiming& t : shards) total += t.gen_ms + t.run_ms + t.spill_ms;
   return total;
 }
 
@@ -213,104 +186,6 @@ ShardedResults run_sharded_experiment(const cd::ditl::WorldSpec& spec,
   sharded.peak_rss_kb = cd::peak_rss_kb();
   sharded.wall_ms = ms_since(wall_start);
   return sharded;
-}
-
-std::uint64_t results_digest(const ExperimentResults& results) {
-  Digest d;
-
-  std::vector<const cd::scanner::TargetRecord*> records;
-  records.reserve(results.records.size());
-  for (const auto& [addr, record] : results.records) records.push_back(&record);
-  std::sort(records.begin(), records.end(),
-            [](const auto* a, const auto* b) { return a->target < b->target; });
-
-  d.u64(records.size());
-  for (const cd::scanner::TargetRecord* r : records) {
-    d.addr(r->target);
-    d.u64(r->asn);
-    d.u64(r->sources_hit.size());
-    for (const auto& src : r->sources_hit) d.addr(src);
-    d.u64(r->categories_hit.size());
-    for (const auto cat : r->categories_hit) {
-      d.u64(static_cast<std::uint64_t>(cat));
-    }
-    // first_hit_time deliberately omitted (see header); the source that
-    // produced the first hit is stable because probes are seconds apart.
-    d.addr(r->first_hit_source);
-    d.u64(static_cast<std::uint64_t>(r->direct_seen));
-    d.u64(static_cast<std::uint64_t>(r->forwarded_seen));
-    d.u64(r->forwarders_seen.size());
-    for (const auto& fwd : r->forwarders_seen) d.addr(fwd);
-    d.u64(static_cast<std::uint64_t>(r->client_in_target_as));
-    d.u64(r->ports_v4.size());
-    for (const std::uint16_t p : r->ports_v4) d.u64(p);
-    d.u64(r->ports_v6.size());
-    for (const std::uint16_t p : r->ports_v6) d.u64(p);
-    d.u64(static_cast<std::uint64_t>(r->open_hit));
-    d.u64(static_cast<std::uint64_t>(r->tcp_hit));
-    d.u64(static_cast<std::uint64_t>(r->tcp_syn.has_value()));
-    if (r->tcp_syn) d.bytes(r->tcp_syn->serialize());
-  }
-
-  // collector_stats deliberately omitted (see header): auth-side traffic
-  // volume, not per-target evidence.
-  d.u64(results.qmin_asns.size());
-  for (const auto asn : results.qmin_asns) d.u64(asn);
-  d.u64(results.lifetime_excluded_targets.size());
-  for (const auto& addr : results.lifetime_excluded_targets) d.addr(addr);
-
-  // network_stats deliberately omitted (see header).
-  d.u64(results.queries_sent);
-  d.u64(results.followup_batteries);
-  d.u64(results.analyst_replays);
-
-  // Cross-check plane: the per-/24 verdict evidence. hits / direct_seen /
-  // forwarded_seen are deliberately omitted — retransmit duplicate counts
-  // depend on shared-cache warmness, and a forward-failover resolver's
-  // direct-vs-forwarded choice is drawn from its own sequential stream, so
-  // both legitimately vary with shard layout (like first_hit_time above).
-  d.u64(results.crosscheck_records.size());
-  for (const auto& [base, rec] : results.crosscheck_records) {
-    d.addr(base);
-    d.u64(rec.asn);
-    d.u64(rec.responding.size());
-    for (const auto& addr : rec.responding) d.addr(addr);
-  }
-  d.u64(results.crosscheck_probes);
-
-  // Attacker plane: per-victim realized outcomes. The block is strictly
-  // conditional on evidence being present so attacker-off digests are
-  // bit-identical to digests computed before the plane existed.
-  if (!results.poison_records.empty() || results.poison_triggers != 0 ||
-      results.poison_forged != 0) {
-    d.u64(results.poison_records.size());
-    for (const auto& [addr, rec] : results.poison_records) {
-      d.addr(rec.victim);
-      d.u64(rec.asn);
-      d.u64(static_cast<std::uint64_t>(rec.software));
-      d.u64(static_cast<std::uint64_t>(rec.os));
-      d.u64(static_cast<std::uint64_t>(rec.open));
-      d.u64(static_cast<std::uint64_t>(rec.reachable));
-      d.u64(static_cast<std::uint64_t>(rec.success));
-      d.u64(rec.rounds);
-      d.u64(rec.success_round);
-      d.u64(rec.poisoned_ttl);
-      d.u64(rec.triggers);
-      d.u64(rec.forged);
-      d.u64(rec.observed_ports.size());
-      for (const std::uint16_t p : rec.observed_ports) d.u64(p);
-    }
-    d.u64(results.poison_triggers);
-    d.u64(results.poison_forged);
-  }
-  return d.value();
-}
-
-std::uint64_t capture_digest(const cd::pcap::Capture& capture) {
-  Digest d;
-  d.bytes(capture.to_pcap());
-  d.bytes(capture.to_index());
-  return d.value();
 }
 
 }  // namespace cd::core

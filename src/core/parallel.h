@@ -13,7 +13,7 @@
 // from stable identities (shard index, target address, packet content),
 // never from thread or arrival order. `results_digest` captures exactly
 // the shard-count-invariant portion of the results; see its comment for
-// the two documented exclusions.
+// what is excluded and why.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,9 @@ struct ShardedResults {
   /// Process-wide peak RSS (VmHWM) after the merge — the campaign's
   /// high-water memory mark, the number the campaign-scale bench budgets.
   std::size_t peak_rss_kb = 0;
-  /// Sum of per-shard gen+run time: what a 1-thread execution of the same
-  /// sharding costs, so aggregate/wall estimates the parallel speedup even
-  /// on machines where the pool cannot actually run concurrently.
+  /// Sum of per-shard gen+run+spill time: what a 1-thread execution of the
+  /// same sharding costs, so aggregate/wall estimates the parallel speedup
+  /// even on machines where the pool cannot actually run concurrently.
   [[nodiscard]] double aggregate_ms() const;
 };
 
@@ -63,22 +63,12 @@ struct ShardedResults {
 [[nodiscard]] ShardedResults run_sharded_experiment(
     const cd::ditl::WorldSpec& spec, const ExperimentConfig& config);
 
-/// Order-independent digest of the shard-count-invariant evidence: records
-/// (sorted by target address, all fields except `first_hit_time`),
-/// QNAME-minimization ASes, lifetime exclusions, the scanner-side counters
-/// (queries sent, follow-up batteries, analyst replays), and the
-/// cross-check plane's per-/24 evidence (prefix, AS and responding-address
-/// sets, plus the probes-sent counter).
-///
-/// Excluded by design — the traffic-volume/timing artifacts of shared
-/// public-resolver cache warmness, the one thing sharding legitimately
-/// perturbs: per-record `first_hit_time`, the world's `network_stats`,
-/// `collector_stats` (a forwarded target resolving against a cold
-/// per-shard cache takes longer, which can add retransmitted — duplicate —
-/// auth log entries; every evidence *set* stays exact because the records
-/// deduplicate), and the cross-check records' `hits` /
-/// `direct_seen`/`forwarded_seen` (duplicate counts plus the
-/// forward-failover resolver's sequential direct-vs-forward draw).
+/// FNV-1a digest of the shard-count-invariant evidence: every field that
+/// the field list in core/schema.cpp tags as evidence, records in target
+/// order, each value widened to u64. That list is the one place that states
+/// which fields are evidence and which are traffic volume (what shared
+/// public-resolver cache warmness, and so the shard layout, legitimately
+/// perturbs), and why.
 [[nodiscard]] std::uint64_t results_digest(const ExperimentResults& results);
 
 /// Digest of a capture's full serialized form (pcap bytes then sidecar

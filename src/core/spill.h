@@ -1,4 +1,4 @@
-// On-disk spill codec for per-shard experiment results ("CDSP" v4).
+// On-disk spill codec for per-shard experiment results ("CDSP" v5).
 //
 // The sharded runner can run far more shards than fit in memory at once:
 // each shard's ExperimentResults is serialized to a compact binary file the
@@ -8,22 +8,19 @@
 // results_digest or capture_digest: the merged evidence is bit-identical to
 // the all-in-memory path (tests/test_campaign_stream.cpp).
 //
-// v2 appends the cross-check plane (per-/24 prefix records and the
-// probes-sent counter, scanner/crosscheck.h) after the scanner counters.
-// v3 appends the attacker plane (per-victim poisoning records and the
-// trigger/forgery counters, attack/poison.h) after the cross-check plane.
-// v4 appends the transport plane (connection-lifecycle counters and the
-// per-target reply digests, sim/network.h + core/experiment.h) after the
-// attacker plane. Older files no longer parse — spills are transient per-run artifacts, not
-// an archival format, so there is no cross-version reader.
+// Layout: magic, version, then every field of the results in the field-list
+// order of core/schema.cpp (digest order; maps in key order), then an FNV-1a
+// checksum of everything before it. Spills are transient per-run artifacts,
+// not an archival format: a file of any other version fails to parse, and
+// there is no cross-version reader.
 //
-// Safety property: *every* strict byte prefix of a valid spill file fails to
-// parse with cd::ParseError, and so does trailing garbage (the reader
-// requires exact consumption). A truncated spill can therefore never merge
-// silently as partial results. The same strictness covers in-place
-// corruption: enums, flag bytes and range-limited fields reject values the
-// writer can never emit, so a flipped bit either throws or produces a
-// decoded value whose re-serialization no longer matches the file
+// Safety property: the checksum is verified before anything is decoded, so
+// every single-bit flip, every strict byte prefix and any trailing byte
+// fails with cd::ParseError — a damaged spill can never merge silently.
+// Behind the checksum the reader stays structurally strict (bools, enums,
+// address families and map keys reject values the writer can never emit,
+// and the body must be consumed exactly), so even a re-sealed corrupted
+// body either throws or decodes to visibly different results
 // (tests/test_campaign_stream.cpp's bit-flip fuzz).
 #pragma once
 
@@ -37,14 +34,14 @@
 namespace cd::core {
 
 inline constexpr std::uint32_t kSpillMagic = 0x50534443;  // "CDSP" LE
-inline constexpr std::uint32_t kSpillVersion = 4;
+inline constexpr std::uint32_t kSpillVersion = 5;
 
-/// Serializes `results` into the CDSP v4 byte format.
+/// Serializes `results` into the CDSP v5 byte format.
 [[nodiscard]] std::vector<std::uint8_t> serialize_results(
     const ExperimentResults& results);
 
 /// Strict inverse of serialize_results(): throws cd::ParseError on bad
-/// magic/version, any truncation, or trailing bytes.
+/// magic/version, a checksum mismatch, any truncation, or trailing bytes.
 [[nodiscard]] ExperimentResults parse_results(
     std::span<const std::uint8_t> bytes);
 

@@ -57,15 +57,6 @@ struct CollectorStats {
   std::uint64_t foreign = 0;            // not our experiment's names
   std::uint64_t excluded_lifetime = 0;  // over the human threshold
   std::uint64_t qmin_partial = 0;       // names missing the src/dst labels
-
-  /// Accumulates another collector's counters (merging shard results).
-  CollectorStats& operator+=(const CollectorStats& other) {
-    entries_seen += other.entries_seen;
-    foreign += other.foreign;
-    excluded_lifetime += other.excluded_lifetime;
-    qmin_partial += other.qmin_partial;
-    return *this;
-  }
 };
 
 /// Derives the spoof category of `src` relative to `dst` (the collector sees

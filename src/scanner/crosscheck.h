@@ -103,13 +103,12 @@ struct PrefixRecord {
   /// Probed destinations whose resolution escaped to our sink. Dedup'd, so
   /// the value is independent of retry/cache timing (digest-safe).
   std::set<cd::net::IpAddr> responding;
-  /// Raw attributed auth-log entries (includes retransmit duplicates whose
-  /// count depends on shared-cache warmness — excluded from results_digest).
+  /// Raw attributed auth-log entries (includes retransmit duplicates, whose
+  /// count depends on shared-cache warmness).
   std::uint64_t hits = 0;
   /// How the evidence arrived: from the probed host itself, or forwarded by
   /// another client. A forward-failover resolver's choice is drawn from its
-  /// own sequential stream, so these bits are excluded from results_digest
-  /// (kept for reporting, like first_hit_time on the probe plane).
+  /// own sequential stream.
   bool direct_seen = false;
   bool forwarded_seen = false;
 

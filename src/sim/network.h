@@ -55,21 +55,6 @@ struct NetworkStats {
   std::uint64_t dropped_unrouted = 0;
   std::uint64_t dropped_no_host = 0;
   std::uint64_t dropped_stack = 0;
-
-  /// Accumulates another network's counters (merging shard results).
-  NetworkStats& operator+=(const NetworkStats& other) {
-    sent += other.sent;
-    delivered += other.delivered;
-    delivery_batches += other.delivery_batches;
-    dropped_osav += other.dropped_osav;
-    dropped_dsav += other.dropped_dsav;
-    dropped_martian += other.dropped_martian;
-    dropped_urpf += other.dropped_urpf;
-    dropped_unrouted += other.dropped_unrouted;
-    dropped_no_host += other.dropped_no_host;
-    dropped_stack += other.dropped_stack;
-    return *this;
-  }
 };
 
 /// Network-wide transport-layer policy (RFC 7766 persistence and DoT-style
@@ -100,8 +85,8 @@ struct TransportOptions {
 };
 
 /// Connection-economics counters a host accumulates across its lifetime
-/// (never reset; excluded from results_digest like NetworkStats). These are
-/// what the per-transport benches and the SYN-drop differential assert on.
+/// (never reset). These are what the per-transport benches and the SYN-drop
+/// differential assert on.
 struct TransportCounters {
   std::uint64_t dials = 0;            // client SYNs sent (connect + session)
   std::uint64_t accepts = 0;          // server-side connections accepted

@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/parallel.h"
 #include "core/spill.h"
@@ -20,6 +22,7 @@
 #include "ditl/target_stream.h"
 #include "ditl/world.h"
 #include "net/packet.h"
+#include "util/bytes.h"
 #include "scanner/prober.h"
 #include "support/materialized_run.h"
 #include "util/error.h"
@@ -301,6 +304,14 @@ ExperimentResults synthetic_results() {
   r.poison_triggers = 10;
   r.poison_forged = 128;
 
+  r.transport.dials = 11;  // transport plane
+  r.transport.accepts = 12;
+  r.transport.session_reuses = 13;
+  r.transport.session_messages = 14;
+  r.transport.idle_closes = 15;
+  r.transport.handshake_bytes = 16;
+  r.transport_replies.emplace(rec.target, 0xfeedULL);
+
   r.capture.snaplen = 512;
   cd::pcap::PcapRecord pkt;
   pkt.time_us = 1000;
@@ -393,6 +404,187 @@ TEST(SpillCodec, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.poison_forged, 128u);
 }
 
+// --- field coverage: every field spills, only evidence digests ---------------
+
+/// Moves a keyed record to a new key, keeping its key field in step.
+template <class Map, class Key, class Member>
+void rekey(Map& map, const Key& from, const Key& to, Member key_field) {
+  auto node = map.extract(from);
+  ASSERT_FALSE(node.empty());
+  node.key() = to;
+  node.mapped().*key_field = to;
+  map.insert(std::move(node));
+}
+
+struct Mutation {
+  const char* field;
+  bool evidence;  // false: traffic volume, which results_digest leaves out
+  std::function<void(ExperimentResults&)> apply;
+};
+
+/// One mutation per field synthetic_results() populates.
+std::vector<Mutation> field_mutations() {
+  using cd::net::IpAddr;
+  const IpAddr target = IpAddr::v4(20, 0, 1, 2);
+  const IpAddr prefix = IpAddr::v4(20, 0, 1, 0);
+  const IpAddr victim = IpAddr::v4(20, 0, 1, 10);
+  const auto rec = [=](ExperimentResults& r) -> auto& {
+    return r.records.at(target);
+  };
+  const auto p24 = [=](ExperimentResults& r) -> auto& {
+    return r.crosscheck_records.at(prefix);
+  };
+  const auto vic = [=](ExperimentResults& r) -> auto& {
+    return r.poison_records.at(victim);
+  };
+  return {
+      {"record.target", true,
+       [=](auto& r) {
+         rekey(r.records, target, IpAddr::v4(20, 0, 1, 3),
+               &cd::scanner::TargetRecord::target);
+       }},
+      {"record.asn", true, [=](auto& r) { rec(r).asn += 1; }},
+      {"record.sources_hit", true,
+       [=](auto& r) { rec(r).sources_hit.insert(IpAddr::v4(60, 0, 0, 2)); }},
+      {"record.categories_hit", true,
+       [=](auto& r) {
+         rec(r).categories_hit.insert(cd::scanner::SourceCategory::kLoopback);
+       }},
+      {"record.first_hit_time", false,
+       [=](auto& r) { rec(r).first_hit_time += 1; }},
+      {"record.first_hit_source", true,
+       [=](auto& r) { rec(r).first_hit_source = IpAddr::v4(60, 0, 0, 9); }},
+      {"record.direct_seen", true,
+       [=](auto& r) { rec(r).direct_seen = false; }},
+      {"record.forwarded_seen", true,
+       [=](auto& r) { rec(r).forwarded_seen = false; }},
+      {"record.forwarders_seen", true,
+       [=](auto& r) { rec(r).forwarders_seen.clear(); }},
+      {"record.client_in_target_as", true,
+       [=](auto& r) { rec(r).client_in_target_as = false; }},
+      {"record.ports_v4", true, [=](auto& r) { rec(r).ports_v4.push_back(7); }},
+      {"record.ports_v6", true, [=](auto& r) { rec(r).ports_v6[0] += 1; }},
+      {"record.open_hit", true, [=](auto& r) { rec(r).open_hit = false; }},
+      {"record.tcp_hit", true, [=](auto& r) { rec(r).tcp_hit = false; }},
+      {"record.tcp_syn", true, [=](auto& r) { rec(r).tcp_syn.reset(); }},
+      {"collector_stats.entries_seen", false,
+       [](auto& r) { r.collector_stats.entries_seen += 1; }},
+      {"collector_stats.foreign", false,
+       [](auto& r) { r.collector_stats.foreign += 1; }},
+      {"collector_stats.excluded_lifetime", false,
+       [](auto& r) { r.collector_stats.excluded_lifetime += 1; }},
+      {"collector_stats.qmin_partial", false,
+       [](auto& r) { r.collector_stats.qmin_partial += 1; }},
+      {"qmin_asns", true, [](auto& r) { r.qmin_asns.insert(303); }},
+      {"lifetime_excluded_targets", true,
+       [](auto& r) { r.lifetime_excluded_targets.clear(); }},
+      {"network_stats.sent", false, [](auto& r) { r.network_stats.sent += 1; }},
+      {"network_stats.delivered", false,
+       [](auto& r) { r.network_stats.delivered += 1; }},
+      {"network_stats.delivery_batches", false,
+       [](auto& r) { r.network_stats.delivery_batches += 1; }},
+      {"network_stats.dropped_osav", false,
+       [](auto& r) { r.network_stats.dropped_osav += 1; }},
+      {"network_stats.dropped_dsav", false,
+       [](auto& r) { r.network_stats.dropped_dsav += 1; }},
+      {"network_stats.dropped_martian", false,
+       [](auto& r) { r.network_stats.dropped_martian += 1; }},
+      {"network_stats.dropped_urpf", false,
+       [](auto& r) { r.network_stats.dropped_urpf += 1; }},
+      {"network_stats.dropped_unrouted", false,
+       [](auto& r) { r.network_stats.dropped_unrouted += 1; }},
+      {"network_stats.dropped_no_host", false,
+       [](auto& r) { r.network_stats.dropped_no_host += 1; }},
+      {"network_stats.dropped_stack", false,
+       [](auto& r) { r.network_stats.dropped_stack += 1; }},
+      {"queries_sent", true, [](auto& r) { r.queries_sent += 1; }},
+      {"followup_batteries", true, [](auto& r) { r.followup_batteries += 1; }},
+      {"analyst_replays", true, [](auto& r) { r.analyst_replays += 1; }},
+      {"prefix.prefix", true,
+       [=](auto& r) {
+         rekey(r.crosscheck_records, prefix, IpAddr::v4(20, 0, 3, 0),
+               &cd::scanner::PrefixRecord::prefix);
+       }},
+      {"prefix.asn", true, [=](auto& r) { p24(r).asn += 1; }},
+      {"prefix.responding", true,
+       [=](auto& r) { p24(r).responding.erase(IpAddr::v4(20, 0, 1, 51)); }},
+      {"prefix.hits", false, [=](auto& r) { p24(r).hits += 1; }},
+      {"prefix.direct_seen", false,
+       [=](auto& r) { p24(r).direct_seen = false; }},
+      {"prefix.forwarded_seen", false,
+       [=](auto& r) { p24(r).forwarded_seen = false; }},
+      {"crosscheck_probes", true, [](auto& r) { r.crosscheck_probes += 1; }},
+      {"victim.victim", true,
+       [=](auto& r) {
+         rekey(r.poison_records, victim, IpAddr::v4(20, 0, 1, 11),
+               &cd::attack::PoisonRecord::victim);
+       }},
+      {"victim.asn", true, [=](auto& r) { vic(r).asn += 1; }},
+      {"victim.software", true,
+       [=](auto& r) { vic(r).software = cd::resolver::DnsSoftware::kBind950; }},
+      {"victim.os", true,
+       [=](auto& r) { vic(r).os = cd::sim::OsId::kUbuntu1904; }},
+      {"victim.open", true, [=](auto& r) { vic(r).open = false; }},
+      {"victim.reachable", true, [=](auto& r) { vic(r).reachable = false; }},
+      {"victim.success", true, [=](auto& r) { vic(r).success = false; }},
+      {"victim.rounds", true, [=](auto& r) { vic(r).rounds += 1; }},
+      {"victim.success_round", true,
+       [=](auto& r) { vic(r).success_round += 1; }},
+      {"victim.poisoned_ttl", true, [=](auto& r) { vic(r).poisoned_ttl += 1; }},
+      {"victim.triggers", true, [=](auto& r) { vic(r).triggers += 1; }},
+      {"victim.forged", true, [=](auto& r) { vic(r).forged += 1; }},
+      {"victim.observed_ports", true,
+       [=](auto& r) { vic(r).observed_ports.pop_back(); }},
+      {"poison_triggers", true, [](auto& r) { r.poison_triggers += 1; }},
+      {"poison_forged", true, [](auto& r) { r.poison_forged += 1; }},
+      {"transport.dials", false, [](auto& r) { r.transport.dials += 1; }},
+      {"transport.accepts", false, [](auto& r) { r.transport.accepts += 1; }},
+      {"transport.session_reuses", false,
+       [](auto& r) { r.transport.session_reuses += 1; }},
+      {"transport.session_messages", false,
+       [](auto& r) { r.transport.session_messages += 1; }},
+      {"transport.idle_closes", false,
+       [](auto& r) { r.transport.idle_closes += 1; }},
+      {"transport.handshake_bytes", false,
+       [](auto& r) { r.transport.handshake_bytes += 1; }},
+      {"transport_replies", false,
+       [=](auto& r) { r.transport_replies.at(target) += 1; }},
+      {"capture.snaplen", false, [](auto& r) { r.capture.snaplen += 1; }},
+      {"capture.linktype", false, [](auto& r) { r.capture.linktype += 1; }},
+      {"capture.record.time_us", false,
+       [](auto& r) { r.capture.records[0].time_us += 1; }},
+      {"capture.record.orig_len", false,
+       [](auto& r) { r.capture.records[0].orig_len += 1; }},
+      {"capture.record.annotation", false,
+       [](auto& r) { r.capture.records[0].annotation += 1; }},
+      {"capture.record.bytes", false,
+       [](auto& r) { r.capture.records[0].bytes.push_back(0); }},
+  };
+}
+
+TEST(ResultsSchema, EveryFieldSpillsAndOnlyEvidenceMovesTheDigest) {
+  const ExperimentResults pristine = synthetic_results();
+  const auto pristine_bytes = cd::core::serialize_results(pristine);
+  const std::uint64_t pristine_digest = results_digest(pristine);
+  for (const Mutation& m : field_mutations()) {
+    SCOPED_TRACE(m.field);
+    ExperimentResults mutated = synthetic_results();
+    m.apply(mutated);
+    const auto bytes = cd::core::serialize_results(mutated);
+    EXPECT_NE(bytes, pristine_bytes) << "field not spilled";
+    EXPECT_EQ(cd::core::serialize_results(cd::core::parse_results(bytes)),
+              bytes)
+        << "field does not round-trip";
+    if (m.evidence) {
+      EXPECT_NE(results_digest(mutated), pristine_digest)
+          << "evidence not digested";
+    } else {
+      EXPECT_EQ(results_digest(mutated), pristine_digest)
+          << "volume digested";
+    }
+  }
+}
+
 TEST(SpillCodec, FileRoundTripAndMissingFile) {
   const auto path = (std::filesystem::temp_directory_path() /
                      "cd_spill_roundtrip_test.cdsp")
@@ -431,21 +623,51 @@ TEST(SpillCodec, TrailingGarbageAndBadHeaderFail) {
   EXPECT_THROW((void)cd::core::parse_results(bad_version), cd::ParseError);
 }
 
+/// The CDSP trailer, computed independently of the codec: 64-bit FNV-1a
+/// over the little-endian u64 length of `sealed`, then its bytes.
+std::uint64_t spill_checksum(const std::vector<std::uint8_t>& sealed) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x00000100000001B3ULL;
+  };
+  for (int i = 0; i < 8; ++i) {
+    mix(static_cast<std::uint8_t>(sealed.size() >> (8 * i)));
+  }
+  for (const std::uint8_t b : sealed) mix(b);
+  return h;
+}
+
 TEST(SpillCodec, RandomSingleBitFlipsNeverParseSilently) {
-  // Every byte of a .cdsp file is load-bearing: a corrupted file must either
-  // refuse to parse, or decode to a value that visibly differs when
-  // reserialized — never crash (the ASan/UBSan CI lanes make "never crash"
-  // mean "never over-read or hit UB"), and never round-trip back to the
-  // pristine bytes as if nothing happened.
+  // The checksum trailer makes every byte of a .cdsp file load-bearing: a
+  // flipped bit anywhere — header, body or trailer — must refuse to parse,
+  // never crash (the ASan/UBSan CI lanes make "never crash" mean "never
+  // over-read or hit UB") and never merge as if nothing happened.
   const auto pristine = cd::core::serialize_results(synthetic_results());
   ASSERT_GT(pristine.size(), 64u);
   std::mt19937_64 gen(0xc0ffee);  // fixed seed: reproducible corpus
-  int threw = 0, reparsed_differently = 0;
   for (int i = 0; i < 256; ++i) {
     auto flipped = pristine;
     const std::size_t byte = gen() % flipped.size();
     const unsigned bit = gen() % 8;
     flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    EXPECT_THROW((void)cd::core::parse_results(flipped), cd::ParseError)
+        << "bit " << bit << " of byte " << byte << " flipped";
+  }
+
+  // Behind the checksum the reader stays structurally strict: with the
+  // trailer re-sealed over the flipped bit, the file must either refuse to
+  // parse or decode to a value that visibly differs when reserialized —
+  // never round-trip back to the pristine bytes.
+  const std::size_t sealed = pristine.size() - 8;  // bytes the trailer covers
+  int threw = 0, reparsed_differently = 0;
+  for (int i = 0; i < 256; ++i) {
+    auto flipped = pristine;
+    const std::size_t byte = gen() % sealed;
+    const unsigned bit = gen() % 8;
+    flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    flipped.resize(sealed);
+    cd::ByteWriter(flipped).u64le(spill_checksum(flipped));
     try {
       const ExperimentResults parsed = cd::core::parse_results(flipped);
       ++reparsed_differently;

@@ -14,6 +14,7 @@
 #include "core/parallel.h"
 #include "ditl/world.h"
 #include "scanner/prober.h"
+#include "util/error.h"
 
 namespace {
 
@@ -243,10 +244,45 @@ TEST(MergeResults, SumsCountersAndRejectsOverlap) {
   EXPECT_EQ(merged.qmin_asns, (std::set<cd::sim::Asn>{1, 2, 3}));
   EXPECT_EQ(merged.records.size(), 2u);
 
-  // A target present in two shards means the AS partition is broken.
+  // A key present in two shards means the AS partition is broken, whichever
+  // keyed section it is in; the error names that section.
+  const auto expect_rejected = [&](const ExperimentResults& part,
+                                   const std::string& section) {
+    try {
+      (void)cd::core::merge_results({a, part});
+      ADD_FAILURE() << section << ": overlapping part merged";
+    } catch (const cd::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+          << e.what();
+    }
+  };
   ExperimentResults dup;
   dup.records.emplace(ra.target, ra);
-  EXPECT_THROW((void)cd::core::merge_results({a, dup}), std::exception);
+  expect_rejected(dup, ": records:");
+
+  cd::scanner::PrefixRecord prefix;
+  prefix.prefix = cd::net::IpAddr::v4(10, 0, 0, 0);
+  a.crosscheck_records.emplace(prefix.prefix, prefix);
+  ExperimentResults dup_prefix;
+  dup_prefix.crosscheck_records.emplace(prefix.prefix, prefix);
+  expect_rejected(dup_prefix, ": crosscheck_records:");
+
+  cd::attack::PoisonRecord victim;
+  victim.victim = ra.target;
+  a.poison_records.emplace(victim.victim, victim);
+  ExperimentResults dup_victim;
+  dup_victim.poison_records.emplace(victim.victim, victim);
+  expect_rejected(dup_victim, ": poison_records:");
+
+  a.transport_replies.emplace(ra.target, 7);
+  ExperimentResults dup_reply;
+  dup_reply.transport_replies.emplace(ra.target, 8);
+  expect_rejected(dup_reply, ": transport_replies:");
+
+  // Later parts must agree with the first part's capture parameters.
+  ExperimentResults other_snaplen;
+  other_snaplen.capture.snaplen = a.capture.snaplen + 1;
+  expect_rejected(other_snaplen, "capture");
 }
 
 }  // namespace
