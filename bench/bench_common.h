@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -60,16 +61,34 @@ inline double flag_double(const char* flag, const char* value) {
   return v;
 }
 
-/// Parses --scale=X --seed=N --threads=N --shards=N (unknown args ignored,
-/// so benches keep working under tooling that appends its own flags;
-/// malformed values exit 2). --threads alone implies one shard per thread.
-inline RunOptions parse_run_options(int argc, char** argv) {
+/// A well-formed value outside the flag's range: exits 2 naming the flag.
+[[noreturn]] inline void flag_out_of_range(const char* flag, const char* value,
+                                           const char* bound) {
+  std::fprintf(stderr, "error: value '%s' for %s must be %s\n", value, flag,
+               bound);
+  std::exit(2);
+}
+
+/// An argument no parser of the bench claims: exits 2 naming it.
+[[noreturn]] inline void unknown_flag(const char* arg) {
+  std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
+  std::exit(2);
+}
+
+/// Parses --scale=X --seed=N --threads=N --shards=N --wildcard; malformed
+/// values, --scale <= 0 and any other argument exit 2. `extra` names the
+/// calling bench's own flags, which it parses itself: an entry ending in
+/// '=' matches any value ("--out="), others match exactly ("--no-drops").
+/// --threads alone implies one shard per thread.
+inline RunOptions parse_run_options(
+    int argc, char** argv, std::initializer_list<const char*> extra = {}) {
   RunOptions opt;
   bool shards_given = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
       opt.scale = flag_double("--scale", arg + 8);
+      if (opt.scale <= 0) flag_out_of_range("--scale", arg + 8, "> 0");
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       opt.seed = flag_u64("--seed", arg + 7);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -79,6 +98,15 @@ inline RunOptions parse_run_options(int argc, char** argv) {
       shards_given = true;
     } else if (std::strcmp(arg, "--wildcard") == 0) {
       opt.wildcard_answers = true;
+    } else {
+      bool claimed = false;
+      for (const char* name : extra) {
+        const std::size_t n = std::strlen(name);
+        claimed = claimed || (n > 0 && name[n - 1] == '='
+                                  ? std::strncmp(arg, name, n) == 0
+                                  : std::strcmp(arg, name) == 0);
+      }
+      if (!claimed) unknown_flag(arg);
     }
   }
   if (opt.threads == 0) opt.threads = 1;

@@ -63,7 +63,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using cd::bench::flag_double;
+using cd::bench::flag_out_of_range;
 using cd::bench::flag_u64;
+using cd::bench::unknown_flag;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -93,8 +95,10 @@ Options parse(int argc, char** argv) {
     if (std::strncmp(arg, "--asns=", 7) == 0) {
       opt.asns = static_cast<int>(
           flag_u64("--asns", arg + 7, std::numeric_limits<int>::max()));
+      if (opt.asns == 0) flag_out_of_range("--asns", arg + 7, ">= 1");
     } else if (std::strncmp(arg, "--mean=", 7) == 0) {
       opt.mean = flag_double("--mean", arg + 7);
+      if (opt.mean <= 0) flag_out_of_range("--mean", arg + 7, "> 0");
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
       opt.shards = flag_u64("--shards", arg + 9);
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -121,6 +125,8 @@ Options parse(int argc, char** argv) {
       opt.campaign = false;
     } else if (std::strcmp(arg, "--no-spill") == 0) {
       opt.spill = false;
+    } else {
+      unknown_flag(arg);
     }
   }
   if (opt.shards == 0) opt.shards = 1;

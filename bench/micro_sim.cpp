@@ -227,8 +227,8 @@ BENCHMARK(BM_DeliveryJitteredSingletons);
 
 // --- TCP response path: bytes/s + allocs/response ---------------------------
 
-/// Client in AS1, DNS-over-TCP-style server in AS2 answering every request
-/// with a fixed response body of `resp_size` bytes.
+/// Client in AS1, DNS-over-TCP server in AS2 answering every framed request
+/// with a framed response whose body is a fixed `resp_size` bytes.
 struct TcpFixture {
   sim::EventLoop loop;
   sim::Topology topo;
@@ -248,16 +248,23 @@ struct TcpFixture {
     server.emplace(network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
                    std::vector<net::IpAddr>{net::IpAddr::must_parse("22.0.0.1")},
                    Rng(2));
-    server->tcp_listen(
-        53, [this](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-          return body;
+    server->tcp_listen_session(
+        53, [this](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
+                   sim::Host::TcpSessionReply reply) {
+          cd::GatherBuf resp(body);
+          const std::uint8_t prefix[2] = {
+              static_cast<std::uint8_t>(body.size() >> 8),
+              static_cast<std::uint8_t>(body.size())};
+          resp.set_header(prefix);
+          reply(std::move(resp));
         });
   }
 };
 
-/// One full connect/request/response exchange per iteration; reports
-/// response bytes/s and heap allocs per response via the operator-new
-/// counter. Arg: response size in bytes.
+/// One full dial/request/response exchange per iteration (one-shot
+/// transport: the connection retires with its reply); reports response
+/// body bytes/s and heap allocs per response via the operator-new counter.
+/// Arg: response body size in bytes.
 void BM_TcpResponse(benchmark::State& state) {
   const auto resp_size = static_cast<std::size_t>(state.range(0));
   TcpFixture f(resp_size);
@@ -268,16 +275,16 @@ void BM_TcpResponse(benchmark::State& state) {
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    f.client->tcp_connect(src, dst, 53,
-                          std::vector<std::uint8_t>{0x00, 0x02, 0xde, 0xad},
-                          [&delivered](std::optional<std::vector<std::uint8_t>> r) {
-                            if (r) {
-                              delivered += r->size();
-                              // Consume, then recycle — what the resolver's
-                              // TCP-retry path does with its reply buffer.
-                              cd::BufferPool::release(std::move(*r));
-                            }
-                          });
+    f.client->tcp_query(src, dst, 53,
+                        std::vector<std::uint8_t>{0x00, 0x02, 0xde, 0xad},
+                        [&delivered](std::optional<std::vector<std::uint8_t>> r) {
+                          if (r) {
+                            delivered += r->size();
+                            // Consume, then recycle — what the resolver's
+                            // TCP-retry path does with its reply buffer.
+                            cd::BufferPool::release(std::move(*r));
+                          }
+                        });
     f.loop.run();
     allocs += g_allocs.load(std::memory_order_relaxed) - before;
     ++responses;

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--pcap=", 7) == 0) pcap_path = argv[i] + 7;
   }
 
-  auto run = bench::run_standard_experiment(bench::parse_run_options(argc, argv));
+  auto run = bench::run_standard_experiment(
+      bench::parse_run_options(argc, argv, {"--pcap="}));
 
   const analysis::PassiveCapture replayed =
       pcap_path.empty() ? analysis::PassiveCapture{}

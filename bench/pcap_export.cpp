@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::RunOptions options = bench::parse_run_options(argc, argv);
+  bench::RunOptions options = bench::parse_run_options(
+      argc, argv, {"--out=", "--probes-only", "--no-drops"});
   options.capture = capture;
   const bench::Run run = bench::run_standard_experiment(options);
 

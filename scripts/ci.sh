@@ -27,8 +27,8 @@ PREFIX="${1:-build-ci}"
 
 echo "=== plain build + ctest ==="
 cmake -B "${PREFIX}" -S . >/dev/null
-cmake --build "${PREFIX}" -j
-ctest --test-dir "${PREFIX}" --output-on-failure -j
+cmake --build "${PREFIX}" -j"$(nproc)"
+ctest --test-dir "${PREFIX}" --output-on-failure -j"$(nproc)"
 
 echo "=== campaign benchmark tests ==="
 python3 -m unittest discover -s perfbench/tests
@@ -40,8 +40,8 @@ echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
 # wheel-vs-reference property programs. The transport label runs its
 # persistent-session campaigns through the same threaded runner.
 cmake -B "${PREFIX}-tsan" -S . -DCD_SANITIZE=thread >/dev/null
-cmake --build "${PREFIX}-tsan" -j --target test_core_parallel test_sim_tcp \
-  test_sim_event_core test_transport
+cmake --build "${PREFIX}-tsan" -j"$(nproc)" --target test_core_parallel \
+  test_sim_tcp test_sim_event_core test_transport
 ctest --test-dir "${PREFIX}-tsan" -L "parallel|tcp|transport|eventcore" \
   --output-on-failure
 
@@ -55,7 +55,7 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # poison label the off-path attack plane (forged packets are exactly the
 # adversarial inputs the decoder paths must over-read-proof).
 cmake -B "${PREFIX}-asan" -S . -DCD_SANITIZE=address >/dev/null
-cmake --build "${PREFIX}-asan" -j --target \
+cmake --build "${PREFIX}-asan" -j"$(nproc)" --target \
   test_util_bytes test_dns_message test_util_pcap test_golden_pcap \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
   test_crosscheck test_attack_poisoning test_transport
@@ -66,10 +66,10 @@ ASAN_OPTIONS=detect_leaks=1 \
 
 echo "=== UBSan build + unit/pcap/batched/tcp/transport/campaign/crosscheck/poison ctest ==="
 cmake -B "${PREFIX}-ubsan" -S . -DCD_SANITIZE=undefined >/dev/null
-cmake --build "${PREFIX}-ubsan" -j
+cmake --build "${PREFIX}-ubsan" -j"$(nproc)"
 ctest --test-dir "${PREFIX}-ubsan" \
   -L "unit|pcap|batched|fuzz|tcp|transport|campaign|crosscheck|poison" \
-  --output-on-failure -j
+  --output-on-failure -j"$(nproc)"
 
 echo "=== ctest label audit ==="
 # Two invariants keep the sanitizer lanes honest as tests are added:
@@ -100,8 +100,8 @@ if [[ "${CD_COVERAGE:-0}" == "1" ]]; then
   if command -v gcovr >/dev/null 2>&1; then
     echo "=== coverage build + per-directory report for src/ ==="
     cmake -B "${PREFIX}-cov" -S . -DCD_COVERAGE=ON >/dev/null
-    cmake --build "${PREFIX}-cov" -j
-    ctest --test-dir "${PREFIX}-cov" --output-on-failure -j
+    cmake --build "${PREFIX}-cov" -j"$(nproc)"
+    ctest --test-dir "${PREFIX}-cov" --output-on-failure -j"$(nproc)"
     # Default txt report (one row per file), folded into one line per src/
     # subsystem (net, dns, sim, ...) plus gcovr's own TOTAL row.
     gcovr --root . --filter 'src/' --object-directory "${PREFIX}-cov" \

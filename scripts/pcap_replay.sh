@@ -26,7 +26,7 @@ OUT="${BUILD}/replay.pcap"
 
 echo "=== build ==="
 cmake -B "${BUILD}" -S . >/dev/null
-cmake --build "${BUILD}" -j --target pcap_export passive_comparison
+cmake --build "${BUILD}" -j"$(nproc)" --target pcap_export passive_comparison
 
 echo "=== export: campaign -> ${OUT} (+.idx) ==="
 # Delivered packets only: a passive tap never sees traffic the borders

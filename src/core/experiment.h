@@ -86,9 +86,11 @@ struct ExperimentConfig {
   /// survive completed exchanges, pipeline up to `max_pipeline` in-flight
   /// framed messages (responses matched by DNS message ID, out-of-order
   /// supported), and are idle-closed server-side after `idle_timeout`. Off —
-  /// the default — is the one-shot dial-per-exchange baseline: results and
-  /// capture digests are bit-identical to pre-transport builds
-  /// (tests/test_transport.cpp pins this).
+  /// the default — dials one connection per message and retires it with
+  /// its reply; results and capture digests are bit-identical to
+  /// pre-transport builds (the golden pcap and tests/support/campaign_pins.h
+  /// pin this), and per-target reply bytes match the persistent mode
+  /// (tests/test_transport.cpp).
   bool persistent_tcp = false;
   /// In-flight messages per session before tcp_query queues (RFC 7766
   /// §6.2.1.1 pipelining window).

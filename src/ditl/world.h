@@ -122,11 +122,6 @@ class ResolverTruthTable {
 /// network (and loop/topology) must be declared first.
 struct World {
   WorldSpec spec;
-  /// Shard scope this world was generated for: (0, 1) is the full world;
-  /// anything else materializes only the edge ASes of that shard (topology,
-  /// geo and the per-AS truth tables always cover every AS).
-  std::size_t shard_index = 0;
-  std::size_t num_shards = 1;
 
   cd::sim::EventLoop loop;
   cd::sim::Topology topology;

@@ -69,8 +69,6 @@ class WorldBuilder {
         rng_(spec.seed),
         w_(std::make_unique<World>()) {
     w_->spec = spec_;
-    w_->shard_index = full ? 0 : shard;
-    w_->num_shards = num_shards_;
   }
 
   std::unique_ptr<World> build() {

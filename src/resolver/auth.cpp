@@ -42,10 +42,10 @@ std::vector<std::uint8_t> tcp_unframe(std::span<const std::uint8_t> framed) {
 AuthServer::AuthServer(cd::sim::Host& host, AuthConfig config)
     : host_(host), config_(std::move(config)) {
   host_.bind_udp(53, [this](const Packet& pkt) { on_udp(pkt); });
-  // One handler serves both lifecycles: with the persistent knob off each
-  // connection carries one exchange (the reply retires it); with it on the
-  // same handler answers every frame of a pipelined session, and the idle
-  // window below bounds how long a quiet session is kept open.
+  // One handler answers every framed query: with the persistent knob off
+  // each connection carries one (the reply retires it); with it on, every
+  // frame of a pipelined session, and the idle window below bounds how long
+  // a quiet session is kept open.
   host_.tcp_listen_session(
       53,
       [this](const cd::sim::TcpConnInfo& info,

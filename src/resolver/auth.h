@@ -41,7 +41,8 @@ struct AuthConfig {
   std::size_t max_log = 0;
   /// RFC 7766 §6.1 server-side idle window for persistent TCP sessions
   /// (0 = the network-wide Network::transport().idle_timeout). Ignored
-  /// entirely while the persistent-transport knob is off.
+  /// while the persistent-transport knob is off: one-shot connections
+  /// retire with their reply.
   cd::sim::SimTime tcp_idle_timeout = 0;
 };
 

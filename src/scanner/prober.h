@@ -77,17 +77,17 @@ class Prober {
   void send_open(const TargetInfo& target);
 
   /// Sends one DNS-over-TCP query (RFC 7766 framed) from the vantage's real
-  /// address via Host::tcp_query — one dial per message on the one-shot
-  /// baseline, a reused pipelined session per target with the persistent
-  /// transport on. The framed reply folds into the per-target digest map
-  /// below (timeouts and empty replies fold nothing, identically on both
-  /// paths). No-op if the vantage lacks an address in the target's family.
+  /// address via Host::tcp_query — one dial per message by default, a
+  /// reused pipelined session per target with the persistent transport on.
+  /// The framed reply folds into the per-target digest map below (timeouts
+  /// and empty replies fold nothing, identically in both modes). No-op if
+  /// the vantage lacks an address in the target's family.
   void send_transport(const TargetInfo& target, QueryMode mode);
 
   /// Per-target commutative digest of every framed TCP reply received by
   /// send_transport: sum of mixed hashes, so it is independent of arrival
   /// interleaving but counts duplicates. The transport differential tests
-  /// compare these maps across one-shot/persistent and shard layouts.
+  /// compare these maps across transport modes and shard layouts.
   [[nodiscard]] const std::map<cd::net::IpAddr, std::uint64_t>&
   transport_replies() const {
     return transport_replies_;

@@ -47,15 +47,10 @@ std::uint16_t framed_message_id(std::span<const std::uint8_t> framed) {
 
 }  // namespace
 
-bool TcpReassembly::add(std::size_t offset, std::span<const std::uint8_t> data,
-                        bool last) {
+bool TcpReassembly::add(std::size_t offset,
+                        std::span<const std::uint8_t> data) {
   const std::size_t end = offset + data.size();
   if (end > kMaxStreamBytes) return false;
-  if (last) {
-    if (total_ != kNoTotal && total_ != end) return false;
-    total_ = end;
-  }
-  if (total_ != kNoTotal && end > total_) return false;
   if (data.empty()) return true;
 
   // Merge [offset, end) into the sorted disjoint range table first — if the
@@ -92,26 +87,10 @@ bool TcpReassembly::add(std::size_t offset, std::span<const std::uint8_t> data,
   return true;
 }
 
-bool TcpReassembly::complete() const {
-  return total_ != kNoTotal &&
-         (total_ == 0 ||
-          (n_ranges_ == 1 && ranges_[0].first == 0 &&
-           ranges_[0].second == total_));
-}
-
-std::vector<std::uint8_t> TcpReassembly::take() {
-  buf_.resize(total_ == kNoTotal ? 0 : total_);
-  n_ranges_ = 0;
-  total_ = kNoTotal;
-  consumed_ = 0;
-  return std::move(buf_);
-}
-
 void TcpReassembly::discard() {
   cd::BufferPool::release(std::move(buf_));
   buf_ = {};
   n_ranges_ = 0;
-  total_ = kNoTotal;
   consumed_ = 0;
 }
 
@@ -211,16 +190,6 @@ void Host::tcp_listen_session(std::uint16_t port, TcpSessionHandler handler,
   tcp_listeners_[port] = Listener{std::move(handler), idle_timeout};
 }
 
-void Host::tcp_listen(std::uint16_t port, TcpServerHandler handler) {
-  tcp_listen_session(
-      port,
-      [h = std::move(handler)](const TcpConnInfo& info,
-                               std::span<const std::uint8_t> message,
-                               TcpSessionReply reply) {
-        reply(h(info, message));
-      });
-}
-
 std::uint16_t Host::ephemeral_port() {
   const std::uint32_t pool = os_.ephemeral_pool_size();
   return static_cast<std::uint16_t>(os_.ephemeral_lo +
@@ -240,59 +209,22 @@ Packet Host::make_segment(const IpAddr& src, std::uint16_t sport,
   return pkt;
 }
 
-void Host::tcp_connect(const IpAddr& src, const IpAddr& dst,
-                       std::uint16_t dst_port, cd::GatherBuf request,
-                       TcpResponseHandler on_response, SimTime timeout) {
-  CD_ENSURE(has_address(src), "tcp_connect: src is not ours");
-
-  std::uint16_t sport = ephemeral_port();
-  ConnKey key{dst, dst_port, sport};
-  for (int attempts = 0; connections_.count(key) && attempts < 16; ++attempts) {
-    sport = ephemeral_port();
-    key.local_port = sport;
-  }
-
-  Connection conn;
-  conn.state = ConnState::kSynSent;
-  conn.local = src;
-  conn.request = std::move(request);
-  conn.on_response = std::move(on_response);
-  conn.timeout_event = network_.loop().schedule_in(timeout, [this, key] {
-    const auto it = connections_.find(key);
-    if (it == connections_.end()) return;
-    TcpResponseHandler handler = std::move(it->second.on_response);
-    it->second.rx.discard();
-    connections_.erase(it);
-    if (handler) handler(std::nullopt);
-  });
-
-  Packet syn = make_segment(src, sport, dst, dst_port, TcpFlags{.syn = true}, {});
-  syn.tcp_seq = static_cast<std::uint32_t>(rng_.u64());
-  conn.iss = syn.tcp_seq;
-  connections_.emplace(key, std::move(conn));
-  ++counters_.dials;
-  network_.send(std::move(syn), asn_);
-}
-
 void Host::tcp_query(const IpAddr& src, const IpAddr& dst,
                      std::uint16_t dst_port, cd::GatherBuf message,
                      TcpResponseHandler on_reply, SimTime timeout) {
-  if (!network_.transport().persistent) {
-    // Differential baseline: exactly the one-shot path, one dial per message.
-    tcp_connect(src, dst, dst_port, std::move(message), std::move(on_reply),
-                timeout);
-    return;
-  }
   CD_ENSURE(has_address(src), "tcp_query: src is not ours");
 
+  const bool persistent = network_.transport().persistent;
   const SessionKey skey{src, dst, dst_port};
+  const auto sit = persistent ? sessions_.find(skey) : sessions_.end();
   ConnKey key;
-  const auto sit = sessions_.find(skey);
+  std::optional<Packet> syn;
   if (sit != sessions_.end() && connections_.count(sit->second) != 0) {
     key = sit->second;
     ++counters_.session_reuses;
   } else {
-    // No live session (never dialed, idle-closed, or dial timed out): dial.
+    // Dial: every message when not persistent, else when there is no live
+    // session (never dialed, idle-closed, or dial timed out).
     std::uint16_t sport = ephemeral_port();
     key = ConnKey{dst, dst_port, sport};
     for (int attempts = 0; connections_.count(key) && attempts < 16;
@@ -300,23 +232,21 @@ void Host::tcp_query(const IpAddr& src, const IpAddr& dst,
       sport = ephemeral_port();
       key.local_port = sport;
     }
-    Connection conn;
-    conn.state = ConnState::kSynSent;
-    conn.session = true;
+    const auto [cit, inserted] = connections_.try_emplace(key);
+    CD_ENSURE(inserted, "tcp_query: no free ephemeral port");
+    Connection& conn = cit->second;
+    conn.one_shot = !persistent;
     conn.local = src;
-    Packet syn =
-        make_segment(src, sport, dst, dst_port, TcpFlags{.syn = true}, {});
-    syn.tcp_seq = static_cast<std::uint32_t>(rng_.u64());
-    conn.iss = syn.tcp_seq;
-    connections_.emplace(key, std::move(conn));
-    sessions_[skey] = key;
+    syn = make_segment(src, sport, dst, dst_port, TcpFlags{.syn = true}, {});
+    syn->tcp_seq = static_cast<std::uint32_t>(rng_.u64());
+    conn.iss = syn->tcp_seq;
+    if (persistent) sessions_[skey] = key;
     ++counters_.dials;
-    network_.send(std::move(syn), asn_);
   }
 
   // Own the framed bytes (the caller's GatherBuf body goes back to the pool)
-  // and queue them behind the pipeline window.
-  QueuedMsg m;
+  // and queue them behind the handshake and the pipeline window.
+  Message m;
   m.bytes = cd::BufferPool::acquire();
   message.spans().append_to(m.bytes);
   cd::BufferPool::release(std::move(message.body));
@@ -325,7 +255,8 @@ void Host::tcp_query(const IpAddr& src, const IpAddr& dst,
   const std::uint16_t id = m.id;
   m.timeout_event = network_.loop().schedule_in(
       timeout, [this, key, id] { on_message_timeout(key, id); });
-  connections_.find(key)->second.queue.push_back(std::move(m));
+  connections_.find(key)->second.msgs.push_back(std::move(m));
+  if (syn) network_.send(std::move(*syn), asn_);
   flush_session(key);
 }
 
@@ -384,14 +315,11 @@ void Host::flush_session(const ConnKey& key) {
   if (conn.state != ConnState::kClientSession || !conn.tx_ready) return;
   const auto cap =
       static_cast<std::size_t>(std::max(1, network_.transport().max_pipeline));
-  while (!conn.queue.empty() && conn.pending.size() < cap) {
-    QueuedMsg m = std::move(conn.queue.front());
-    conn.queue.pop_front();
+  while (conn.written < conn.msgs.size() && conn.written < cap) {
+    Message& m = conn.msgs[conn.written++];
     session_write(key, conn, cd::ConstSpans(m.bytes));
     cd::BufferPool::release(std::move(m.bytes));
-    conn.pending.push_back(
-        PendingReply{m.id, std::move(m.on_reply), m.timeout_event});
-    ++counters_.session_messages;
+    if (!conn.one_shot) ++counters_.session_messages;
   }
 }
 
@@ -420,8 +348,9 @@ void Host::process_client_session(const ConnKey& key) {
     }
     if (conn.hello_rounds_left > 0) return;
   }
-  // Cut complete frames off the stream, pairing each with its pending
-  // handler by DNS message ID (out-of-order replies match correctly).
+  // Cut complete frames off the stream, pairing each with its in-flight
+  // message by DNS message ID (out-of-order replies match correctly); the
+  // first frame on a one-shot connection is its one reply, whatever its ID.
   // Handlers may re-enter this host (tcp_query on this same session), so
   // re-find the entry each round.
   for (;;) {
@@ -436,16 +365,18 @@ void Host::process_client_session(const ConnKey& key) {
     conn.rx.read(2 + len, msg);
     const std::uint16_t id = framed_message_id(msg);
     TcpResponseHandler handler;
-    for (auto pit = conn.pending.begin(); pit != conn.pending.end(); ++pit) {
-      if (pit->id == id) {
-        if (pit->timeout_event != 0) {
-          network_.loop().cancel(pit->timeout_event);
-        }
-        handler = std::move(pit->on_reply);
-        conn.pending.erase(pit);
+    for (std::size_t i = 0; i < conn.written; ++i) {
+      if (conn.msgs[i].id == id || conn.one_shot) {
+        network_.loop().cancel(conn.msgs[i].timeout_event);
+        handler = std::move(conn.msgs[i].on_reply);
+        conn.msgs.erase(conn.msgs.begin() + static_cast<std::ptrdiff_t>(i));
+        --conn.written;
         break;
       }
     }
+    // Retire before the handler runs, so a tcp_query it issues never
+    // collides with this connection's ephemeral port.
+    if (conn.one_shot) retire(it);
     if (handler) {
       handler(std::move(msg));
     } else {
@@ -493,8 +424,11 @@ void Host::process_server_session(const ConnKey& key) {
       Connection& c = rit->second;
       --c.server_outstanding;
       session_activity(c);
-      if (response.size() > 0) session_write(key, c, response.spans());
+      if (response.size() > 0 || c.one_shot) {
+        session_write(key, c, response.spans());
+      }
       cd::BufferPool::release(std::move(response.body));
+      if (c.one_shot) retire(rit);  // its one exchange is over
     };
     lit->second.handler(conn.info, msg, std::move(reply));
     cd::BufferPool::release(std::move(msg));
@@ -539,8 +473,7 @@ void Host::idle_check(const ConnKey& key) {
   fin.tcp_ack =
       conn.irs + 1 +
       static_cast<std::uint32_t>(conn.rx_base + conn.rx.consumed());
-  conn.rx.discard();
-  connections_.erase(it);
+  retire(it);
   network_.send(std::move(fin), asn_);
 }
 
@@ -548,35 +481,29 @@ void Host::on_message_timeout(const ConnKey& key, std::uint16_t id) {
   const auto it = connections_.find(key);
   if (it == connections_.end()) return;
   Connection& conn = it->second;
+  // Queued messages are searched before in-flight ones: when two messages
+  // share an ID, the first match fails.
+  const auto in_flight_end =
+      conn.msgs.begin() + static_cast<std::ptrdiff_t>(conn.written);
+  const auto has_id = [id](const Message& m) { return m.id == id; };
+  auto mit = std::find_if(in_flight_end, conn.msgs.end(), has_id);
+  if (mit == conn.msgs.end()) {
+    mit = std::find_if(conn.msgs.begin(), in_flight_end, has_id);
+    if (mit == in_flight_end) mit = conn.msgs.end();
+  }
   TcpResponseHandler handler;
-  for (auto qit = conn.queue.begin(); qit != conn.queue.end(); ++qit) {
-    if (qit->id == id) {
-      handler = std::move(qit->on_reply);
-      cd::BufferPool::release(std::move(qit->bytes));
-      conn.queue.erase(qit);
-      break;
-    }
+  if (mit != conn.msgs.end()) {
+    if (mit < in_flight_end) --conn.written;
+    handler = std::move(mit->on_reply);
+    cd::BufferPool::release(std::move(mit->bytes));
+    conn.msgs.erase(mit);
   }
-  if (!handler) {
-    for (auto pit = conn.pending.begin(); pit != conn.pending.end(); ++pit) {
-      if (pit->id == id) {
-        handler = std::move(pit->on_reply);
-        conn.pending.erase(pit);
-        break;
-      }
-    }
-  }
-  // A dial that never established with nothing left waiting is dead; drop
-  // it so the next tcp_query redials instead of queueing forever.
-  if (conn.state == ConnState::kSynSent && conn.queue.empty() &&
-      conn.pending.empty()) {
-    const auto sit =
-        sessions_.find(SessionKey{conn.local, key.peer, key.peer_port});
-    if (sit != sessions_.end() && sit->second.local_port == key.local_port) {
-      sessions_.erase(sit);
-    }
-    conn.rx.discard();
-    connections_.erase(it);
+  // A one-shot connection ends with its one message. A dial that never
+  // established with nothing left waiting is dead: drop it so the next
+  // tcp_query redials instead of queueing forever.
+  if (conn.msgs.empty() &&
+      (conn.one_shot || conn.state == ConnState::kSynSent)) {
+    retire(it);
   }
   if (handler) handler(std::nullopt);
 }
@@ -584,20 +511,27 @@ void Host::on_message_timeout(const ConnKey& key, std::uint16_t id) {
 void Host::on_fin(const ConnKey& key) {
   const auto it = connections_.find(key);
   if (it == connections_.end()) return;
-  Connection& conn = it->second;
-  if (!conn.session) return;  // one-shot lifecycles never see a FIN
+  std::vector<Message>& msgs = it->second.msgs;
+  // Queued messages fail first, then in-flight ones.
+  std::rotate(msgs.begin(),
+              msgs.begin() + static_cast<std::ptrdiff_t>(it->second.written),
+              msgs.end());
   std::vector<TcpResponseHandler> failed;
-  for (QueuedMsg& m : conn.queue) {
-    if (m.timeout_event != 0) network_.loop().cancel(m.timeout_event);
+  for (Message& m : msgs) {
+    network_.loop().cancel(m.timeout_event);
     cd::BufferPool::release(std::move(m.bytes));
     if (m.on_reply) failed.push_back(std::move(m.on_reply));
   }
-  for (PendingReply& p : conn.pending) {
-    if (p.timeout_event != 0) network_.loop().cancel(p.timeout_event);
-    if (p.on_reply) failed.push_back(std::move(p.on_reply));
-  }
-  if (conn.idle_event != 0) network_.loop().cancel(conn.idle_event);
-  if (conn.timeout_event != 0) network_.loop().cancel(conn.timeout_event);
+  retire(it);
+  // The next tcp_query to this server falls back to a fresh dial; in-flight
+  // messages fail now rather than dangling until their timeouts.
+  for (TcpResponseHandler& h : failed) h(std::nullopt);
+}
+
+void Host::retire(ConnMap::iterator it) {
+  const ConnKey& key = it->first;
+  Connection& conn = it->second;
+  network_.loop().cancel(conn.idle_event);
   const auto sit =
       sessions_.find(SessionKey{conn.local, key.peer, key.peer_port});
   if (sit != sessions_.end() && sit->second.local_port == key.local_port) {
@@ -605,9 +539,6 @@ void Host::on_fin(const ConnKey& key) {
   }
   conn.rx.discard();
   connections_.erase(it);
-  // The next tcp_query to this server falls back to a fresh dial; in-flight
-  // messages fail now rather than dangling until their timeouts.
-  for (TcpResponseHandler& h : failed) h(std::nullopt);
 }
 
 bool Host::stack_accepts(const Packet& packet) const {
@@ -650,14 +581,21 @@ void Host::deliver_tcp(const Packet& packet) {
     if (lit == tcp_listeners_.end()) return;  // no RST modeling; just drop
     const ConnKey key{packet.src, packet.src_port, packet.dst_port};
     Connection conn;
+    conn.state = ConnState::kServerSession;
+    conn.one_shot = !network_.transport().persistent;
     conn.local = packet.dst;
     conn.peer_mss = peer_mss_of(packet);
     conn.irs = packet.tcp_seq;
     conn.info = TcpConnInfo{packet.src, packet.src_port, packet.dst,
                             packet.dst_port, packet};
-    if (network_.transport().persistent) {
-      conn.state = ConnState::kServerSession;
-      conn.session = true;
+    if (conn.one_shot) {
+      // Reap a connection whose reply never comes, silently (no FIN).
+      conn.idle_event =
+          network_.loop().schedule_in(30 * kSecond, [this, key] {
+            const auto it = connections_.find(key);
+            if (it != connections_.end()) retire(it);
+          });
+    } else {
       conn.idle_window = lit->second.idle_timeout > 0
                              ? lit->second.idle_timeout
                              : network_.transport().idle_timeout;
@@ -668,16 +606,6 @@ void Host::deliver_tcp(const Packet& packet) {
         conn.hello_rounds_left =
             std::max(1, network_.transport().dot_handshake_rtts);
       }
-    } else {
-      conn.state = ConnState::kServerEstablished;
-      // Reap abandoned half-open connections after a while.
-      conn.timeout_event =
-          network_.loop().schedule_in(30 * kSecond, [this, key] {
-            const auto it = connections_.find(key);
-            if (it == connections_.end()) return;
-            it->second.rx.discard();
-            connections_.erase(it);
-          });
     }
     ++counters_.accepts;
 
@@ -701,33 +629,24 @@ void Host::deliver_tcp(const Packet& packet) {
     Connection& conn = it->second;
     conn.peer_mss = peer_mss_of(packet);
     conn.irs = packet.tcp_seq;
-    if (conn.session) {
-      conn.state = ConnState::kClientSession;
-      if (network_.transport().dot) {
-        // Pay the handshake before any DNS bytes: hello flights are real
-        // stream bytes, one flight each way per round trip.
-        conn.hello_rounds_left =
-            std::max(1, network_.transport().dot_handshake_rtts);
-        send_hello(key, conn);
-      } else {
-        conn.tx_ready = true;
-        flush_session(key);
-      }
-      return;
+    conn.state = ConnState::kClientSession;
+    if (!conn.one_shot && network_.transport().dot) {
+      // Pay the handshake before any DNS bytes: hello flights are real
+      // stream bytes, one flight each way per round trip.
+      conn.hello_rounds_left =
+          std::max(1, network_.transport().dot_handshake_rtts);
+      send_hello(key, conn);
+    } else {
+      conn.tx_ready = true;
+      flush_session(key);
     }
-    // One-shot client: stream the request at the server's MSS.
-    conn.state = ConnState::kClientEstablished;
-    send_stream(conn.local, key.local_port, key.peer, key.peer_port, conn.iss,
-                conn.irs + 1, conn.peer_mss, conn.request.spans());
-    // The request stream is on the wire; recycle its body now.
-    cd::BufferPool::release(std::move(conn.request.body));
-    conn.request = {};
     return;
   }
 
   if (!f.syn && !packet.payload.empty()) {
     // Data segment: feed the reassembly for this direction. Segments may
-    // arrive in any order.
+    // arrive in any order; frames are cut by length prefix, and the stream
+    // origin rebases as bytes are consumed.
     const ConnKey key{packet.src, packet.src_port, packet.dst_port};
     const auto it = connections_.find(key);
     if (it == connections_.end()) return;
@@ -736,65 +655,14 @@ void Host::deliver_tcp(const Packet& packet) {
 
     // Stream offset relative to the peer's ISN + 1 (u32 wraparound safe).
     const std::uint32_t rel = packet.tcp_seq - (conn.irs + 1);
-
-    if (conn.session) {
-      // Session streams have no end-of-stream PSH semantics: frames are cut
-      // by length prefix, and the stream origin rebases as bytes are
-      // consumed.
-      if (rel < conn.rx_base) return;  // behind the rebased origin: stale
-      conn.rx.add(rel - conn.rx_base, packet.payload, /*last=*/false);
-      if (conn.state == ConnState::kServerSession) {
-        session_activity(conn);
-        process_server_session(key);
-      } else {
-        process_client_session(key);
-      }
-      return;
+    if (rel < conn.rx_base) return;  // behind the rebased origin: stale
+    conn.rx.add(rel - conn.rx_base, packet.payload);
+    if (conn.state == ConnState::kServerSession) {
+      session_activity(conn);
+      process_server_session(key);
+    } else {
+      process_client_session(key);
     }
-
-    // One-shot lifecycle: PSH marks the sender's end of stream.
-    conn.rx.add(rel, packet.payload, f.psh);
-    if (!conn.rx.complete()) return;
-
-    if (conn.state == ConnState::kServerEstablished) {
-      // Full request stream arrived: serve it. The reply retires the
-      // connection — deterministic teardown (timeout cancelled, entry
-      // erased) happens inside it, so the synchronous tcp_listen wrap and a
-      // deferred session handler fold into the same wire shape.
-      const auto lit = tcp_listeners_.find(packet.dst_port);
-      if (lit == tcp_listeners_.end()) return;
-      std::vector<std::uint8_t> request_bytes = conn.rx.take();
-      const std::size_t req_len = request_bytes.size();
-      TcpSessionReply reply = [this, key, req_len](cd::GatherBuf response) {
-        const auto rit = connections_.find(key);
-        if (rit == connections_.end()) {
-          cd::BufferPool::release(std::move(response.body));
-          return;
-        }
-        Connection& c = rit->second;
-        network_.loop().cancel(c.timeout_event);
-        const std::uint32_t iss = c.iss;
-        const std::uint32_t ack_no =
-            c.irs + 1 + static_cast<std::uint32_t>(req_len);
-        const std::uint16_t peer_mss = c.peer_mss;
-        TcpConnInfo info = std::move(c.info);  // retiring the connection
-        connections_.erase(rit);
-        send_stream(info.local, info.local_port, info.peer, info.peer_port,
-                    iss, ack_no, peer_mss, response.spans());
-        cd::BufferPool::release(std::move(response.body));
-      };
-      lit->second.handler(conn.info, request_bytes, std::move(reply));
-      cd::BufferPool::release(std::move(request_bytes));
-      return;
-    }
-
-    // Client side: the response stream is complete — deterministic
-    // teardown (timeout cancelled, entry erased) before the handler runs.
-    network_.loop().cancel(conn.timeout_event);
-    TcpResponseHandler handler = std::move(conn.on_response);
-    std::vector<std::uint8_t> response_bytes = conn.rx.take();
-    connections_.erase(it);
-    if (handler) handler(std::move(response_bytes));
   }
 }
 

@@ -1,26 +1,26 @@
 // A simulated end host: addresses, an OS stack model, UDP services, and a
 // streaming TCP transport (handshake + MSS-segmented byte streams with
 // reordering-tolerant reassembly) that carries real fingerprintable SYN
-// metadata. Two connection lifecycles share the state machine:
+// metadata. Every connection carries RFC 1035 §4.2.2 length-prefixed DNS
+// messages through one state machine; Network::transport().persistent,
+// read when a connection is dialed or accepted, only sets its lifetime:
 //
-//  - one-shot (the PR-5 baseline, always available): tcp_connect() streams
-//    one request, the listener answers one response, and the connection is
-//    torn down — the wire shape every differential test pins.
-//  - sessions (Network::transport().persistent): connections opened while
-//    the knob is set survive completed exchanges and carry multiple RFC
-//    1035 §4.2.2 length-prefixed DNS messages per stream. tcp_query()
-//    reuses one connection per (src, dst, port), pipelines up to
-//    max_pipeline in-flight messages, and matches responses to handlers by
-//    DNS message ID (out-of-order replies supported). Servers close idle
-//    sessions with a FIN after an idle window (RFC 7766 §6.1), driven
-//    deterministically through the timing wheel. With transport().dot set,
-//    each dial additionally pays a fixed hello handshake (real stream
-//    bytes, real RTTs) plus a setup delay before the first DNS byte.
+//  - off (the default): tcp_query() dials a connection per message. Each
+//    end retires it when its one exchange ends — the client on the reply or
+//    the timeout, the server once its reply is written (or, if it never
+//    replies, at a silent 30 s reap). No FIN is sent.
+//  - on (RFC 7766 sessions): tcp_query() reuses one connection per (src,
+//    dst, port), pipelines up to max_pipeline in-flight messages, and
+//    matches responses to handlers by DNS message ID (out-of-order replies
+//    supported). Servers close idle sessions with a FIN after an idle
+//    window (RFC 7766 §6.1), driven deterministically through the timing
+//    wheel. With transport().dot set, each dial additionally pays a fixed
+//    hello handshake (real stream bytes, real RTTs) plus a setup delay
+//    before the first DNS byte.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -48,41 +48,25 @@ struct TcpConnInfo {
 };
 
 /// Reassembles one direction of a TCP byte stream from (possibly reordered)
-/// segments. Offsets are stream-relative: seq - (peer ISN + 1). The sender
-/// marks its last segment with PSH, which fixes the stream's total length;
-/// the stream is complete once [0, total) is covered. Backing storage is a
+/// segments. Offsets are stream-relative: seq - (peer ISN + 1), minus the
+/// bytes already dropped by rebase(). The receiver cuts length-prefixed
+/// messages off the front with a consumption cursor. Backing storage is a
 /// pooled buffer; received-range bookkeeping is a small inline array, so a
 /// reassembly allocates nothing in steady state. Pathological interleavings
 /// that exceed the inline range capacity (or a sanity cap on stream size)
-/// drop the segment — the stream stalls into the connection-timeout path,
+/// drop the segment — the stream stalls into the message-timeout path,
 /// which is also how real stacks shed garbage.
 class TcpReassembly {
  public:
   static constexpr std::size_t kMaxRanges = 8;
   static constexpr std::size_t kMaxStreamBytes = 1 << 20;
 
-  /// Ingests a segment's payload at stream offset `offset`; `last` marks
-  /// the sender's stream end at offset + data.size(). Returns false if the
-  /// segment was dropped (range-table overflow, oversized, or inconsistent
-  /// with an already-fixed total).
-  bool add(std::size_t offset, std::span<const std::uint8_t> data, bool last);
+  /// Ingests a segment's payload at stream offset `offset`. Returns false if
+  /// the segment was dropped (range-table overflow or oversized).
+  bool add(std::size_t offset, std::span<const std::uint8_t> data);
 
-  /// True once every byte of the PSH-fixed total has arrived.
-  [[nodiscard]] bool complete() const;
-
-  /// Total stream length; only meaningful once complete().
-  [[nodiscard]] std::size_t total() const { return total_; }
-
-  /// Moves the assembled stream out (call once, when complete()).
-  [[nodiscard]] std::vector<std::uint8_t> take();
-
-  /// Returns the backing buffer to the pool (teardown without completion).
+  /// Returns the backing buffer to the pool (connection teardown).
   void discard();
-
-  // --- session (message-mode) consumption -----------------------------------
-  // Persistent connections never fix a stream total (PSH is not end-of-
-  // stream when many messages share one stream); instead the receiver cuts
-  // length-prefixed messages off the front with a consumption cursor.
 
   /// Contiguous bytes available at the cursor.
   [[nodiscard]] std::size_t available() const;
@@ -100,33 +84,29 @@ class TcpReassembly {
   std::size_t rebase();
 
  private:
-  static constexpr std::size_t kNoTotal = ~static_cast<std::size_t>(0);
-
   std::vector<std::uint8_t> buf_;
   // Disjoint received [begin, end) ranges, sorted, merged on insert.
   std::array<std::pair<std::size_t, std::size_t>, kMaxRanges> ranges_{};
   std::size_t n_ranges_ = 0;
-  std::size_t total_ = kNoTotal;
   std::size_t consumed_ = 0;
 };
 
 class Host {
  public:
   using UdpHandler = std::function<void(const cd::net::Packet&)>;
-  /// Serves one reassembled request stream; the returned payload (framing
-  /// header + body, or a plain vector) is streamed back to the client in
-  /// MSS-sized segments.
-  using TcpServerHandler = std::function<cd::GatherBuf(
-      const TcpConnInfo&, std::span<const std::uint8_t>)>;
-  /// Receives the reassembled response stream, or nullopt on timeout.
+  /// Receives the matching framed response, or nullopt on timeout.
   using TcpResponseHandler =
       std::function<void(std::optional<std::vector<std::uint8_t>>)>;
-  /// Sends one framed response on a session connection (no-op once the
-  /// connection is gone; an empty GatherBuf sends nothing). Copyable and
-  /// deferrable — the serving application may reply asynchronously.
+  /// Sends one framed response on the connection the message came in on
+  /// (no-op once the connection is gone). On a session an empty GatherBuf
+  /// sends nothing; a one-shot connection writes it as one empty PSH
+  /// segment and retires either way. Copyable and deferrable — the serving
+  /// application may reply asynchronously.
   using TcpSessionReply = std::function<void(cd::GatherBuf)>;
-  /// Serves one length-prefixed message from a session stream. The message
-  /// span is valid only for the duration of the call; reply via the
+  /// Serves one length-prefixed message (prefix included) from a
+  /// connection's stream. The message span is valid only for the duration
+  /// of the call, and on a one-shot connection the TcpConnInfo only until
+  /// `reply` runs (the reply retires the connection). Reply via the
   /// callback, immediately or later (per-connection pending responses are
   /// tracked so idle-timeout teardown never races an unsent reply).
   using TcpSessionHandler = std::function<void(
@@ -167,34 +147,23 @@ class Host {
                 std::vector<std::uint8_t> payload);
 
   // --- TCP ---
-  /// Per-message session listener. With Network::transport().persistent off
-  /// an accepted connection still carries exactly one exchange (the one-shot
-  /// wire shape), the whole request stream arriving as the one message;
-  /// with it on, the connection is a session: length-prefix framed,
-  /// pipelined, idle-timed. `idle_timeout` overrides the network-wide
-  /// server idle window for this port (0 = use transport().idle_timeout).
+  /// Serves each length-prefixed message that arrives on `port`. A
+  /// connection accepted with transport().persistent off carries one
+  /// exchange and retires once the reply is written; with it on, the
+  /// connection is a pipelined, idle-timed session. `idle_timeout`
+  /// overrides the network-wide server idle window for this port (0 = use
+  /// transport().idle_timeout).
   void tcp_listen_session(std::uint16_t port, TcpSessionHandler handler,
                           SimTime idle_timeout = 0);
-  /// One-exchange convenience listener: wraps `handler` (which returns its
-  /// response synchronously) in a session handler that replies in place.
-  void tcp_listen(std::uint16_t port, TcpServerHandler handler);
-  /// Opens a connection from `src` (one of this host's addresses), streams
-  /// `request` once established (segmented at the peer's SYN-advertised
-  /// MSS), and invokes `on_response` with the reassembled reply stream or
-  /// with nullopt after `timeout`. Connection state — including the timeout
-  /// event — is torn down as soon as the response completes.
-  void tcp_connect(const cd::net::IpAddr& src, const cd::net::IpAddr& dst,
-                   std::uint16_t dst_port, cd::GatherBuf request,
-                   TcpResponseHandler on_response,
-                   SimTime timeout = 5 * kSecond);
-  /// Sends one length-prefixed DNS message to (dst, dst_port). With
-  /// transport().persistent off this is exactly tcp_connect — one dial per
-  /// message, the differential baseline. With it on, the message rides the
-  /// live session to (src, dst, dst_port) (dialing one if absent, redialing
-  /// if the server idle-closed it), pipelined up to transport().max_pipeline
-  /// in flight; `on_reply` receives the matching framed response (matched
-  /// by DNS message ID, so out-of-order replies pair correctly) or nullopt
-  /// after `timeout`.
+  /// Sends one length-prefixed DNS message from `src` (one of this host's
+  /// addresses) to (dst, dst_port), segmented at the server's SYN-advertised
+  /// MSS. With transport().persistent off, each call dials its own
+  /// connection, and the first framed reply on it is the reply. With it on,
+  /// the message rides the live session to (src, dst, dst_port) (dialing
+  /// one if absent, redialing if the server idle-closed it), pipelined up to
+  /// transport().max_pipeline in flight, and the reply is matched by DNS
+  /// message ID, so out-of-order replies pair correctly. `on_reply`
+  /// receives the framed reply, or nullopt after `timeout`.
   void tcp_query(const cd::net::IpAddr& src, const cd::net::IpAddr& dst,
                  std::uint16_t dst_port, cd::GatherBuf message,
                  TcpResponseHandler on_reply, SimTime timeout = 5 * kSecond);
@@ -258,8 +227,6 @@ class Host {
   };
   enum class ConnState {
     kSynSent,
-    kClientEstablished,
-    kServerEstablished,
     kClientSession,
     kServerSession,
   };
@@ -267,70 +234,65 @@ class Host {
     TcpSessionHandler handler;
     SimTime idle_timeout = 0;  // 0 = network-wide transport().idle_timeout
   };
-  /// A message accepted by tcp_query but not yet written to the stream
-  /// (handshake still running, or the pipeline window is full).
-  struct QueuedMsg {
-    std::vector<std::uint8_t> bytes;  // framed: 2-byte prefix + DNS message
-    std::uint16_t id = 0;
-    TcpResponseHandler on_reply;
-    EventId timeout_event = 0;
-  };
-  /// A written message awaiting its response, matched by DNS message ID.
-  struct PendingReply {
+  /// A message accepted by tcp_query. The first `Connection::written`
+  /// entries of a connection's `msgs` are on the stream awaiting their
+  /// responses; the rest wait for the handshake or a pipeline slot.
+  struct Message {
+    std::vector<std::uint8_t> bytes;  // framed; released once written
     std::uint16_t id = 0;
     TcpResponseHandler on_reply;
     EventId timeout_event = 0;
   };
   struct Connection {
     ConnState state = ConnState::kSynSent;
-    bool session = false;                // dialed/accepted in persistent mode
+    /// Dialed or accepted with transport().persistent off: retired after
+    /// its one exchange instead of idling as a session.
+    bool one_shot = false;
     cd::net::IpAddr local;
-    cd::GatherBuf request;               // one-shot client: send on SYN-ACK
-    TcpResponseHandler on_response;      // one-shot client side
     TcpConnInfo info;                    // server side (includes SYN)
-    EventId timeout_event = 0;
     std::uint16_t peer_mss = kDefaultMss;  // from the peer's SYN / SYN-ACK
     std::uint32_t iss = 0;               // our initial send sequence number
     std::uint32_t irs = 0;               // peer's initial sequence number
     TcpReassembly rx;                    // the peer's inbound byte stream
-    // --- session mode ---
     std::size_t tx_off = 0;         // stream bytes we have written (post-ISS)
     std::size_t rx_base = 0;        // stream offset of rx's origin (rebases)
-    std::deque<QueuedMsg> queue;    // client: awaiting a pipeline slot
-    std::vector<PendingReply> pending;  // client: in flight
+    std::vector<Message> msgs;      // client: in flight, then queued
+    std::size_t written = 0;        // client: msgs[0, written) in flight
     int server_outstanding = 0;     // server: replies promised, not yet sent
     bool tx_ready = false;          // client: handshake + setup cost done
     int hello_rounds_left = 0;      // DoT handshake round trips remaining
     SimTime last_activity = 0;      // server: for the idle window
     SimTime idle_window = 0;        // server: resolved idle timeout
-    EventId idle_event = 0;         // server: pending idle check
+    EventId idle_event = 0;         // server: idle check, or one-shot reap
     int idle_deferrals = 0;         // server: stale deadlines outstanding>0
   };
+  using ConnMap = std::map<ConnKey, Connection>;
 
   void deliver_tcp(const cd::net::Packet& packet);
-  // --- session machinery ---
-  /// Writes `data` on a session stream at tx_off (advancing it) with the
-  /// current ack for the peer's stream.
+  /// Writes `data` on a connection's stream at tx_off (advancing it) with
+  /// the current ack for the peer's stream.
   void session_write(const ConnKey& key, Connection& conn,
                      const cd::ConstSpans& data);
   /// Writes one kDotHelloBytes flight on the session stream (either side).
   void send_hello(const ConnKey& key, Connection& conn);
-  /// Promotes queued messages into the pipeline window and writes them.
+  /// Writes queued messages into the pipeline window.
   void flush_session(const ConnKey& key);
   /// Cuts complete length-prefixed messages (and hello flights) off the
-  /// client-side rx stream, pairing responses with pending handlers.
+  /// client-side rx stream, pairing responses with their handlers.
   void process_client_session(const ConnKey& key);
   /// Server-side counterpart: answers hello flights, hands complete
   /// messages to the listener with a deferrable reply callback.
   void process_server_session(const ConnKey& key);
   void session_activity(Connection& conn);
   void idle_check(const ConnKey& key);
-  /// Fails one queued/pending message by ID (its timeout fired), tearing
-  /// down a never-established dial once nothing else references it.
+  /// Fails one message by ID (its timeout fired), retiring the connection
+  /// if it is one-shot or a never-established dial with nothing left.
   void on_message_timeout(const ConnKey& key, std::uint16_t id);
-  /// Peer closed (FIN): fail every queued/pending message, drop the session
-  /// index entry, and erase the connection.
+  /// Peer closed (FIN): fail every message and retire the connection.
   void on_fin(const ConnKey& key);
+  /// Erases a connection: cancels its idle/reap timer, drops its client
+  /// session-index entry and returns its rx buffer to the pool.
+  void retire(ConnMap::iterator it);
   [[nodiscard]] cd::net::Packet make_segment(
       const cd::net::IpAddr& src, std::uint16_t sport,
       const cd::net::IpAddr& dst, std::uint16_t dport, cd::net::TcpFlags flags,
@@ -338,8 +300,9 @@ class Host {
   /// Streams `data` from local (src, sport) to (dst, dport) as ACK segments
   /// capped at `peer_mss` bytes of payload each (PSH marks the last), with
   /// seq advancing from `iss + 1` by actual payload bytes and `ack_no`
-  /// acknowledging the peer's stream. Segment payloads are gather-copied
-  /// straight from the span chain into pooled buffers.
+  /// acknowledging the peer's stream. Empty data still sends one PSH
+  /// segment. Segment payloads are gather-copied straight from the span
+  /// chain into pooled buffers.
   void send_stream(const cd::net::IpAddr& src, std::uint16_t sport,
                    const cd::net::IpAddr& dst, std::uint16_t dport,
                    std::uint32_t iss, std::uint32_t ack_no,
@@ -354,7 +317,7 @@ class Host {
 
   std::map<std::uint16_t, UdpHandler> udp_handlers_;
   std::map<std::uint16_t, Listener> tcp_listeners_;
-  std::map<ConnKey, Connection> connections_;
+  ConnMap connections_;
   std::map<SessionKey, ConnKey> sessions_;
   TransportCounters counters_;
 };

@@ -63,11 +63,12 @@ struct NetworkStats {
 /// is set opens a session connection on both sides. Toggle before traffic is
 /// in flight; connections already open keep the mode they were dialed under.
 struct TransportOptions {
-  /// RFC 7766 mode: client connections are keyed by (src, dst, port) and
-  /// survive completed exchanges; streams carry length-prefixed DNS messages
-  /// with pipelined requests and responses matched by message ID. Off (the
-  /// default) preserves the one-exchange-per-connection PR-5 wire shape
-  /// byte for byte — the differential baseline.
+  /// Connection lifetime. Every stream carries length-prefixed DNS
+  /// messages through the same state machine. On (RFC 7766), client
+  /// connections are keyed by (src, dst, port) and survive completed
+  /// exchanges, with pipelined requests and responses matched by message
+  /// ID. Off (the default), each message dials its own connection, which
+  /// both ends retire without a FIN once its one exchange ends.
   bool persistent = false;
   /// Client-side cap on in-flight (sent, unanswered) messages per
   /// connection; further queries queue until a response frees a slot.
@@ -88,7 +89,7 @@ struct TransportOptions {
 /// (never reset). These are what the per-transport benches and the SYN-drop
 /// differential assert on.
 struct TransportCounters {
-  std::uint64_t dials = 0;            // client SYNs sent (connect + session)
+  std::uint64_t dials = 0;            // client SYNs sent (either lifetime)
   std::uint64_t accepts = 0;          // server-side connections accepted
   std::uint64_t session_reuses = 0;   // tcp_query served by a live session
   std::uint64_t session_messages = 0; // session messages written by clients

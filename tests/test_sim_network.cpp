@@ -224,6 +224,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- TCP ---------------------------------------------------------------------------
 
+/// Frames `body` with the 2-byte big-endian DNS-over-TCP length prefix.
+std::vector<std::uint8_t> framed(std::vector<std::uint8_t> body) {
+  body.insert(body.begin(), {static_cast<std::uint8_t>(body.size() >> 8),
+                             static_cast<std::uint8_t>(body.size())});
+  return body;
+}
+
 TEST(Tcp, RequestResponseExchange) {
   Fixture f;
   Host server(f.network, 2, sim::os_profile(sim::OsId::kFreeBsd121),
@@ -232,23 +239,23 @@ TEST(Tcp, RequestResponseExchange) {
               {IpAddr::must_parse("21.0.0.1")}, Rng(2));
 
   std::optional<sim::TcpConnInfo> seen_conn;
-  server.tcp_listen(53, [&](const sim::TcpConnInfo& info,
-                            std::span<const std::uint8_t> req) {
+  server.tcp_listen_session(53, [&](const sim::TcpConnInfo& info,
+                                    std::span<const std::uint8_t> req,
+                                    Host::TcpSessionReply reply) {
     seen_conn = info;
-    std::vector<std::uint8_t> resp(req.begin(), req.end());
-    resp.push_back(0xFF);
-    return resp;
+    std::vector<std::uint8_t> body(req.begin() + 2, req.end());
+    body.push_back(0xFF);
+    reply(framed(std::move(body)));
   });
 
   std::optional<std::vector<std::uint8_t>> reply;
-  client.tcp_connect(IpAddr::must_parse("21.0.0.1"),
-                     IpAddr::must_parse("22.0.0.1"), 53,
-                     std::vector<std::uint8_t>{1, 2, 3},
-                     [&](auto r) { reply = std::move(*r); });
+  client.tcp_query(IpAddr::must_parse("21.0.0.1"),
+                   IpAddr::must_parse("22.0.0.1"), 53, framed({1, 2, 3}),
+                   [&](auto r) { reply = std::move(*r); });
   f.loop.run();
 
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(*reply, (std::vector<std::uint8_t>{1, 2, 3, 0xFF}));
+  EXPECT_EQ(*reply, framed({1, 2, 3, 0xFF}));
   ASSERT_TRUE(seen_conn.has_value());
   // The server kept the client's SYN with its fingerprintable fields.
   EXPECT_TRUE(seen_conn->syn.tcp_flags.syn);
@@ -267,13 +274,13 @@ TEST(Tcp, TimeoutWhenNoListener) {
   Host client(f.network, 1, sim::os_profile(sim::OsId::kUbuntu1904),
               {IpAddr::must_parse("21.0.0.1")}, Rng(2));
   bool failed = false;
-  client.tcp_connect(IpAddr::must_parse("21.0.0.1"),
-                     IpAddr::must_parse("22.0.0.1"), 53,
-                     std::vector<std::uint8_t>{1},
-                     [&](auto r) { failed = !r.has_value(); },
-                     2 * sim::kSecond);
+  client.tcp_query(IpAddr::must_parse("21.0.0.1"),
+                   IpAddr::must_parse("22.0.0.1"), 53, framed({1}),
+                   [&](auto r) { failed = !r.has_value(); },
+                   2 * sim::kSecond);
   f.loop.run();
   EXPECT_TRUE(failed);
+  EXPECT_EQ(client.open_tcp_connections(), 0u);
 }
 
 TEST(Tcp, SpoofedSynCannotComplete) {
@@ -281,11 +288,12 @@ TEST(Tcp, SpoofedSynCannotComplete) {
   Host server(f.network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
               {IpAddr::must_parse("22.0.0.1")}, Rng(1));
   int served = 0;
-  server.tcp_listen(53, [&](const sim::TcpConnInfo&,
-                            std::span<const std::uint8_t>) {
-    ++served;
-    return std::vector<std::uint8_t>{};
-  });
+  server.tcp_listen_session(
+      53, [&](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
+              Host::TcpSessionReply reply) {
+        ++served;
+        reply({});
+      });
   // A spoofed SYN: the SYN-ACK goes to the claimed source (no host there),
   // so the handshake never finishes and the service never runs.
   Packet syn = net::make_tcp(IpAddr::must_parse("21.0.9.9"), 1234,
@@ -294,6 +302,8 @@ TEST(Tcp, SpoofedSynCannotComplete) {
   f.network.send(std::move(syn), 1);
   f.loop.run();
   EXPECT_EQ(served, 0);
+  // The half-open entry is reaped rather than left behind.
+  EXPECT_EQ(server.open_tcp_connections(), 0u);
 }
 
 TEST(Host, EphemeralPortsWithinOsRange) {

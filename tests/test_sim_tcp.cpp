@@ -1,7 +1,8 @@
 // Unit + integration tests: streaming MSS-segmented TCP — stream
 // reassembly, segmentation caps at the peer's SYN-advertised MSS,
 // deterministic connection teardown (no stray timeout events), the
-// truncated-mid-stream timeout path, segmented streams reassembling to the
+// truncated-mid-stream timeout path, the silent reap of an unanswered
+// one-shot connection, segmented streams reassembling to the
 // exact framed response, and the fixture-shape rows of the campaign pin
 // table (tests/support/campaign_pins.h).
 #include <gtest/gtest.h>
@@ -62,30 +63,40 @@ cd::GatherBuf framed(std::vector<std::uint8_t> body) {
 
 // --- TcpReassembly ---------------------------------------------------------
 
-TEST(TcpReassemblyTest, InOrderCompletes) {
+/// Everything contiguous at the cursor, consumed.
+std::vector<std::uint8_t> drain(TcpReassembly& rx) {
+  std::vector<std::uint8_t> out;
+  rx.read(rx.available(), out);
+  return out;
+}
+
+TEST(TcpReassemblyTest, InOrderBecomesAvailable) {
   TcpReassembly rx;
   const auto data = pattern(10);
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 4), false));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(rx.add(4, sub(data, 4, 6), true));
-  ASSERT_TRUE(rx.complete());
-  EXPECT_EQ(rx.total(), 10u);
-  EXPECT_EQ(rx.take(), data);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 4)));
+  EXPECT_EQ(rx.available(), 4u);
+  EXPECT_TRUE(rx.add(4, sub(data, 4, 6)));
+  ASSERT_EQ(rx.available(), 10u);
+  EXPECT_EQ(rx.peek(9), data[9]);
+  EXPECT_EQ(drain(rx), data);
+  EXPECT_EQ(rx.consumed(), 10u);
+  rx.discard();
 }
 
 TEST(TcpReassemblyTest, OutOfOrderOverlapAndDuplicates) {
   const auto data = pattern(9, 3);
   TcpReassembly rx;
-  // Tail first (fixes the total), then a middle duplicate pair, then a head
-  // segment overlapping the middle — the assembled stream is still exact.
-  EXPECT_TRUE(rx.add(6, sub(data, 6, 3), true));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(rx.add(3, sub(data, 3, 3), false));
-  EXPECT_TRUE(rx.add(3, sub(data, 3, 3), false));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 5), false));
-  ASSERT_TRUE(rx.complete());
-  EXPECT_EQ(rx.take(), data);
+  // Tail first, then a middle duplicate pair, then a head segment
+  // overlapping the middle — nothing is available until the head lands,
+  // and then the assembled stream is exact.
+  EXPECT_TRUE(rx.add(6, sub(data, 6, 3)));
+  EXPECT_EQ(rx.available(), 0u);
+  EXPECT_TRUE(rx.add(3, sub(data, 3, 3)));
+  EXPECT_TRUE(rx.add(3, sub(data, 3, 3)));
+  EXPECT_EQ(rx.available(), 0u);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 5)));
+  EXPECT_EQ(drain(rx), data);
+  rx.discard();
 }
 
 TEST(TcpReassemblyTest, RangeTableOverflowDropsSegment) {
@@ -93,26 +104,41 @@ TEST(TcpReassemblyTest, RangeTableOverflowDropsSegment) {
   const auto data = pattern(64);
   // kMaxRanges disjoint one-byte islands fill the inline table...
   for (std::size_t i = 0; i < TcpReassembly::kMaxRanges; ++i) {
-    EXPECT_TRUE(rx.add(i * 4, sub(data, i * 4, 1), false));
+    EXPECT_TRUE(rx.add(i * 4, sub(data, i * 4, 1)));
   }
   // ...a further disjoint island is dropped (stream will stall into the
-  // connection timeout), but a segment that merges into an existing range
+  // message timeout), but a segment that merges into an existing range
   // still lands.
-  EXPECT_FALSE(rx.add(60, sub(data, 60, 1), false));
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 2), false));
+  EXPECT_FALSE(rx.add(60, sub(data, 60, 1)));
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 2)));
   rx.discard();
 }
 
-TEST(TcpReassemblyTest, RejectsOversizedAndInconsistentSegments) {
+TEST(TcpReassemblyTest, RejectsOversizedSegments) {
   TcpReassembly rx;
   const auto data = pattern(4);
-  EXPECT_FALSE(
-      rx.add(TcpReassembly::kMaxStreamBytes, sub(data, 0, 4), false));
-  EXPECT_TRUE(rx.add(0, sub(data, 0, 4), true));  // total fixed at 4
-  EXPECT_FALSE(rx.add(4, sub(data, 0, 4), false));  // beyond the total
-  EXPECT_FALSE(rx.add(0, sub(data, 0, 3), true));   // conflicting total
-  ASSERT_TRUE(rx.complete());
-  EXPECT_EQ(rx.take(), data);
+  EXPECT_FALSE(rx.add(TcpReassembly::kMaxStreamBytes, sub(data, 0, 4)));
+  EXPECT_FALSE(rx.add(TcpReassembly::kMaxStreamBytes - 3, sub(data, 0, 4)));
+  EXPECT_EQ(rx.available(), 0u);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 4)));
+  EXPECT_EQ(drain(rx), data);
+  rx.discard();
+}
+
+TEST(TcpReassemblyTest, RebaseShiftsTheOriginToTheCursor) {
+  TcpReassembly rx;
+  const auto data = pattern(12, 9);
+  EXPECT_TRUE(rx.add(0, sub(data, 0, 6)));
+  EXPECT_TRUE(rx.add(8, sub(data, 8, 4)));  // island past a 2-byte hole
+  std::vector<std::uint8_t> head;
+  rx.read(4, head);
+  EXPECT_EQ(rx.rebase(), 4u);
+  EXPECT_EQ(rx.consumed(), 0u);
+  EXPECT_EQ(rx.available(), 2u);  // stream bytes [4, 6)
+  // Offsets are now relative to the rebased origin: the hole is at 2.
+  EXPECT_TRUE(rx.add(2, sub(data, 6, 2)));
+  EXPECT_EQ(drain(rx), std::vector<std::uint8_t>(data.begin() + 4, data.end()));
+  rx.discard();
 }
 
 // --- segmentation against a live host pair ---------------------------------
@@ -161,26 +187,30 @@ std::vector<Seg> data_segments(const pcap::Capture& capture,
   return segs;
 }
 
-/// One exchange where the server answers with `resp_size` patterned bytes;
-/// returns the captured server->client data segments and the client's
-/// reassembled reply.
-void exchange_sized(std::size_t resp_size, std::vector<Seg>& segs,
+/// Serves every message on port 53 with a copy of `resp`, replying in place.
+void serve(Host& server, const cd::GatherBuf& resp) {
+  server.tcp_listen_session(
+      53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
+                  Host::TcpSessionReply reply) { reply(resp); });
+}
+
+/// One exchange where the server answers with a framed reply whose stream
+/// (length prefix + patterned body) is `stream_size` bytes; returns the
+/// captured server->client data segments and the client's reply.
+void exchange_sized(std::size_t stream_size, std::vector<Seg>& segs,
                     std::vector<std::uint8_t>& reply) {
   TcpFixture f;
-  const auto body = pattern(resp_size, 0x5A);
-  f.server->tcp_listen(
-      53, [&body](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-        return cd::GatherBuf(body);
-      });
+  const cd::GatherBuf resp = framed(pattern(stream_size - 2, 0x5A));
+  serve(*f.server, resp);
   pcap::Capture capture;
   f.network.attach_capture(capture);
   std::optional<std::vector<std::uint8_t>> r;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{1, 2, 3},
-                        [&r](auto x) { r = std::move(x); });
+  f.client->tcp_query(f.caddr, f.saddr, 53, framed({1, 2, 3}),
+                      [&r](auto x) { r = std::move(x); });
   f.loop.run();
   ASSERT_TRUE(r.has_value());
   reply = std::move(*r);
+  EXPECT_EQ(reply, resp.to_vector());
   segs = data_segments(capture, f.saddr, f.caddr);
   EXPECT_EQ(f.client->open_tcp_connections(), 0u);
   EXPECT_EQ(f.server->open_tcp_connections(), 0u);
@@ -194,7 +224,7 @@ TEST(TcpSegmentation, ResponseExactlyAtMssIsOneSegment) {
   exchange_sized(kMss, segs, reply);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].payload.size(), kMss);
-  EXPECT_EQ(reply, pattern(kMss, 0x5A));
+  EXPECT_EQ(reply.size(), kMss);
 }
 
 TEST(TcpSegmentation, ResponseOneByteOverMssSplitsInTwo) {
@@ -206,26 +236,22 @@ TEST(TcpSegmentation, ResponseOneByteOverMssSplitsInTwo) {
   EXPECT_EQ(segs[1].payload.size(), 1u);
   // Sequence numbers advance by actual payload bytes.
   EXPECT_EQ(segs[1].seq, segs[0].seq + kMss);
-  EXPECT_EQ(reply, pattern(kMss + 1, 0x5A));
+  EXPECT_EQ(reply.size(), kMss + 1u);
 }
 
 TEST(TcpSegmentation, MultiSegmentStreamConcatenatesToFramedResponse) {
   TcpFixture f;
   const cd::GatherBuf resp = framed(pattern(8000, 0x11));
   const std::vector<std::uint8_t> expected = resp.to_vector();
-  f.server->tcp_listen(
-      53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-        return resp;
-      });
+  serve(*f.server, resp);
   pcap::Capture capture;
   f.network.attach_capture(capture);
   std::optional<std::vector<std::uint8_t>> r;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{0, 2, 0xAB, 0xCD},
-                        [&r](auto x) { r = std::move(x); });
+  f.client->tcp_query(f.caddr, f.saddr, 53, framed({0xAB, 0xCD}),
+                      [&r](auto x) { r = std::move(x); });
   f.loop.run();
 
-  // The client's reassembled stream is byte-identical to the framed
+  // The client's reassembled reply is byte-identical to the framed
   // response (length prefix + body crossing six segment boundaries).
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, expected);
@@ -261,18 +287,17 @@ struct ExchangeOutcome {
 ExchangeOutcome run_exchange_with_timeout(sim::SimTime timeout,
                                           std::uint64_t budget = UINT64_MAX) {
   TcpFixture f(11);
-  f.server->tcp_listen(
-      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req) {
-        return cd::GatherBuf(
-            std::vector<std::uint8_t>(req.begin(), req.end()));
+  f.server->tcp_listen_session(
+      53, [](const sim::TcpConnInfo&, std::span<const std::uint8_t> req,
+             Host::TcpSessionReply reply) {
+        reply(cd::GatherBuf(std::vector<std::uint8_t>(req.begin(), req.end())));
       });
   ExchangeOutcome out;
-  f.client->tcp_connect(f.caddr, f.saddr, 53,
-                        std::vector<std::uint8_t>{9, 9, 9},
-                        [&out](auto r) {
-                          if (r.has_value()) ++out.replies;
-                        },
-                        timeout);
+  f.client->tcp_query(f.caddr, f.saddr, 53, framed({9, 9, 9}),
+                      [&out](auto r) {
+                        if (r.has_value()) ++out.replies;
+                      },
+                      timeout);
   f.loop.run(budget);
   EXPECT_EQ(out.replies, 1);
   EXPECT_EQ(f.client->open_tcp_connections(), 0u);
@@ -283,9 +308,10 @@ ExchangeOutcome run_exchange_with_timeout(sim::SimTime timeout,
 }
 
 TEST(TcpTeardown, NoStrayTimeoutAndStableEventAccounting) {
-  // A successful exchange cancels the client's timeout and erases the
-  // connection entry on the spot: the executed-event count must not depend
-  // on the timeout value (the cancelled timer never runs, never counts).
+  // A successful exchange cancels the client's timeout and the server's
+  // reap timer and erases both connection entries on the spot: the
+  // executed-event count must not depend on the timeout value (the
+  // cancelled timers never run, never count).
   const ExchangeOutcome a = run_exchange_with_timeout(5 * sim::kSecond);
   const ExchangeOutcome b = run_exchange_with_timeout(3600 * sim::kSecond);
   EXPECT_EQ(a.executed, b.executed);
@@ -311,17 +337,21 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
     if (!pkt.payload.empty() && pkt.tcp_flags.psh && !injected) {
       injected = true;
       // The client finished streaming its request: answer with the first
-      // and last kilobyte of a 3000-byte stream — the middle never comes.
+      // and last kilobyte of a 3000-byte framed reply — the middle never
+      // comes.
       f.loop.schedule_at(
           now + 50 * sim::kMillisecond, [&f, &fake, sport = pkt.src_port] {
-            const auto chunk = pattern(1000, 0x77);
+            const auto stream = framed(pattern(2998, 0x77)).to_vector();
+            const auto first = sub(stream, 0, 1000);
+            const auto last = sub(stream, 2000, 1000);
             Packet head = net::make_tcp(fake, 53, f.caddr, sport,
-                                        net::TcpFlags{.ack = true}, chunk);
+                                        net::TcpFlags{.ack = true},
+                                        {first.begin(), first.end()});
             head.tcp_seq = 5000 + 1;
             f.network.send(std::move(head), 2);
-            Packet tail =
-                net::make_tcp(fake, 53, f.caddr, sport,
-                              net::TcpFlags{.ack = true, .psh = true}, chunk);
+            Packet tail = net::make_tcp(fake, 53, f.caddr, sport,
+                                        net::TcpFlags{.ack = true, .psh = true},
+                                        {last.begin(), last.end()});
             tail.tcp_seq = 5000 + 1 + 2000;
             f.network.send(std::move(tail), 2);
           });
@@ -329,9 +359,9 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
   });
 
   std::optional<std::optional<std::vector<std::uint8_t>>> result;
-  f.client->tcp_connect(f.caddr, fake, 53, std::vector<std::uint8_t>{1, 2, 3},
-                        [&result](auto r) { result = std::move(r); },
-                        2 * sim::kSecond);
+  f.client->tcp_query(f.caddr, fake, 53, framed({1, 2, 3}),
+                      [&result](auto r) { result = std::move(r); },
+                      2 * sim::kSecond);
   // The SYN went out synchronously; complete the handshake so the client
   // streams its request and waits on the (truncated) reply.
   ASSERT_TRUE(syn.has_value());
@@ -349,6 +379,59 @@ TEST(TcpTimeout, TruncatedMidStreamTimesOut) {
   EXPECT_EQ(f.client->open_tcp_connections(), 0u);
 }
 
+TEST(TcpTimeout, UnansweredOneShotIsReapedWithoutFin) {
+  // Persistent transport off, and a listener that takes the message but
+  // never replies: the client gives up at its own timeout, the server
+  // drops its entry at the 30 s reap, and neither end puts a FIN on the
+  // wire — a one-shot connection just goes away.
+  TcpFixture f(17);
+  ASSERT_FALSE(f.network.transport().persistent);
+  int served = 0;
+  f.server->tcp_listen_session(
+      53, [&served](const sim::TcpConnInfo&, std::span<const std::uint8_t>,
+                    Host::TcpSessionReply) { ++served; });
+  pcap::Capture capture;
+  f.network.attach_capture(capture);
+
+  std::optional<std::optional<std::vector<std::uint8_t>>> result;
+  sim::SimTime result_at = 0;
+  f.client->tcp_query(f.caddr, f.saddr, 53, framed({4, 5, 6}),
+                      [&](auto r) {
+                        result = std::move(r);
+                        result_at = f.loop.now();
+                      },
+                      2 * sim::kSecond);
+
+  f.loop.run_until(29 * sim::kSecond);
+  EXPECT_EQ(served, 1);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->has_value()) << "an unanswered query must time out";
+  EXPECT_EQ(result_at, 2 * sim::kSecond);
+  EXPECT_EQ(f.client->open_tcp_connections(), 0u);
+  EXPECT_EQ(f.server->open_tcp_connections(), 1u) << "reaped before 30 s";
+
+  f.loop.run();
+  EXPECT_EQ(f.server->open_tcp_connections(), 0u);
+  EXPECT_EQ(f.network.open_tcp_connections(), 0u);
+  EXPECT_EQ(f.loop.pending(), 0u);
+  EXPECT_GE(f.loop.now(), 30 * sim::kSecond);
+  EXPECT_LT(f.loop.now(), 31 * sim::kSecond);
+
+  std::size_t tcp_packets = 0;
+  for (const auto& rec : capture.records) {
+    const Packet pkt = Packet::parse(rec.bytes);
+    if (pkt.proto != net::IpProto::kTcp) continue;
+    ++tcp_packets;
+    EXPECT_FALSE(pkt.tcp_flags.fin) << "one-shot teardown sent a FIN";
+  }
+  EXPECT_EQ(tcp_packets, 3u);  // SYN, SYN-ACK, the request: nothing after
+  const sim::TransportCounters total = f.network.transport_counters();
+  EXPECT_EQ(total.dials, 1u);
+  EXPECT_EQ(total.accepts, 1u);
+  EXPECT_EQ(total.session_messages, 0u);
+  EXPECT_EQ(total.idle_closes, 0u);
+}
+
 // --- segmented streams reassemble exactly -----------------------------------
 
 TEST(TcpSegmentation, SegmentedStreamsReassembleAcrossSeeds) {
@@ -357,16 +440,12 @@ TEST(TcpSegmentation, SegmentedStreamsReassembleAcrossSeeds) {
     const cd::GatherBuf resp =
         framed(pattern(4000 + seed % 700, static_cast<std::uint8_t>(seed)));
     const std::vector<std::uint8_t> expected = resp.to_vector();
-    f.server->tcp_listen(
-        53, [&resp](const sim::TcpConnInfo&, std::span<const std::uint8_t>) {
-          return resp;
-        });
+    serve(*f.server, resp);
     pcap::Capture capture;
     f.network.attach_capture(capture);
     std::optional<std::vector<std::uint8_t>> reply;
-    f.client->tcp_connect(f.caddr, f.saddr, 53,
-                          std::vector<std::uint8_t>{0, 2, 0xAB, 0xCD},
-                          [&reply](auto r) { reply = std::move(r); });
+    f.client->tcp_query(f.caddr, f.saddr, 53, framed({0xAB, 0xCD}),
+                        [&reply](auto r) { reply = std::move(r); });
     f.loop.run();
     // The reply reassembles to the exact framed response, and the captured
     // MSS-capped payloads concatenate to the same stream.

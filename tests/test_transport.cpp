@@ -27,6 +27,7 @@
 #include "sim/network.h"
 #include "support/materialized_run.h"
 #include "util/error.h"
+#include "util/pcap.h"
 #include "util/rng.h"
 
 namespace {
@@ -383,25 +384,46 @@ TEST(TransportDot, HandshakePaysBytesAndSetupDelayOncePerConnection) {
 TEST(TransportFallback, TcpQueryWithoutPersistenceIsExactlyOneShot) {
   TransportFixture f(TransportOptions{});  // persistent off (the default)
   f.serve_echo();
+  pcap::Capture capture;
+  f.network.attach_capture(capture);
 
-  std::optional<std::vector<std::uint8_t>> via_query;
-  std::optional<std::vector<std::uint8_t>> via_connect;
-  f.client->tcp_query(f.caddr, f.saddr, 53, framed_msg(0x5001),
-                      [&](auto r) { via_query = std::move(r); });
-  f.client->tcp_connect(f.caddr, f.saddr, 53, framed_msg(0x5001),
-                        [&](auto r) { via_connect = std::move(r); });
+  std::vector<std::vector<std::uint8_t>> replies;
+  for (int i = 0; i < 2; ++i) {
+    f.client->tcp_query(f.caddr, f.saddr, 53, framed_msg(0x5001),
+                        [&](std::optional<std::vector<std::uint8_t>> r) {
+                          ASSERT_TRUE(r.has_value());
+                          replies.push_back(std::move(*r));
+                        });
+  }
   f.loop.run();
 
-  ASSERT_TRUE(via_query.has_value());
-  ASSERT_TRUE(via_connect.has_value());
-  EXPECT_EQ(*via_query, *via_connect);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], framed_msg(0x5001).to_vector());
+  EXPECT_EQ(replies[1], replies[0]);
   const TransportCounters total = f.network.transport_counters();
   EXPECT_EQ(total.dials, 2u);  // one dial per message: no reuse off-knob
+  EXPECT_EQ(total.accepts, 2u);
   EXPECT_EQ(total.session_reuses, 0u);
   EXPECT_EQ(total.session_messages, 0u);
   EXPECT_EQ(total.idle_closes, 0u);
   EXPECT_EQ(total.handshake_bytes, 0u);
   EXPECT_EQ(f.network.open_tcp_connections(), 0u);
+  // On the wire each connection is SYN, SYN-ACK, one request segment and
+  // one reply segment, and it retires without a FIN.
+  std::size_t syns = 0;
+  std::size_t data = 0;
+  for (const auto& rec : capture.records) {
+    const Packet pkt = Packet::parse(rec.bytes);
+    if (pkt.proto != net::IpProto::kTcp) continue;
+    EXPECT_FALSE(pkt.tcp_flags.fin);
+    if (pkt.tcp_flags.syn) ++syns;
+    if (!pkt.payload.empty()) {
+      ++data;
+      EXPECT_TRUE(pkt.tcp_flags.psh);
+    }
+  }
+  EXPECT_EQ(syns, 4u);
+  EXPECT_EQ(data, 4u);
 }
 
 // --- spill codec: transport plane -------------------------------------------
