@@ -53,10 +53,13 @@ echo "=== ASan build + fuzz/pcap/batched/tcp/transport/campaign/crosscheck/poiso
 # targets grow. The crosscheck label runs the Closed Resolver differential
 # battery (second scanner plane) under the same instrumentation, and the
 # poison label the off-path attack plane (forged packets are exactly the
-# adversarial inputs the decoder paths must over-read-proof).
+# adversarial inputs the decoder paths must over-read-proof). The fuzz
+# label includes the flat wire-form name differential (test_dns_name),
+# whose offset arithmetic over one buffer per name is exactly what ASan
+# bounds-checks.
 cmake -B "${PREFIX}-asan" -S . -DCD_SANITIZE=address >/dev/null
 cmake --build "${PREFIX}-asan" -j"$(nproc)" --target \
-  test_util_bytes test_dns_message test_util_pcap test_golden_pcap \
+  test_util_bytes test_dns_name test_dns_message test_util_pcap test_golden_pcap \
   test_sim_batched test_sim_tcp test_net_checksum test_campaign_stream \
   test_crosscheck test_attack_poisoning test_transport
 ASAN_OPTIONS=detect_leaks=1 \

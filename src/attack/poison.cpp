@@ -124,8 +124,7 @@ void SpoofInjector::add_victim(const VictimSpec& spec) {
       cd::Rng::substream(seed_, cd::net::IpAddrHash{}(spec.addr));
   if (!rng.chance(config_.victim_fraction)) return;
 
-  auto [it, inserted] = victims_.emplace(spec.addr, VictimState{});
-  VictimState& state = it->second;
+  VictimState& state = victims_.try_emplace(spec.addr).first->second;
   state.spec = spec;
   state.rng = rng;
   state.rec.victim = spec.addr;

@@ -15,24 +15,25 @@ Cache::Cache(CacheConfig config) : config_(config) {}
 
 CacheResult Cache::lookup(const DnsName& name, RrType type,
                           CacheTime now) const {
+  return lookup(NameSuffixes(name), name.label_count(), type, now);
+}
+
+CacheResult Cache::lookup(const NameSuffixes& name, std::size_t labels,
+                          RrType type, CacheTime now) const {
   CacheResult result;
 
   // RFC 8020: an unexpired NXDOMAIN at the name or any ancestor proves the
   // name does not exist.
-  DnsName walk = name;
-  for (;;) {
-    const auto it = nxdomain_.find(walk);
+  const std::size_t shallowest = config_.rfc8020 ? 0 : labels;
+  for (std::size_t n = labels + 1; n-- > shallowest;) {
+    const auto it = nxdomain_.find(name[n]);
     if (it != nxdomain_.end() && it->second.expires > now) {
-      if (walk == name || config_.rfc8020) {
-        result.kind = CacheHitKind::kNegativeName;
-        return result;
-      }
+      result.kind = CacheHitKind::kNegativeName;
+      return result;
     }
-    if (walk.is_root() || !config_.rfc8020) break;
-    walk = walk.parent();
   }
 
-  const Key key{name, type};
+  const KeyRef key(name[labels], type);
   const auto pit = positive_.find(key);
   if (pit != positive_.end() && pit->second.expires > now) {
     result.kind = CacheHitKind::kPositive;

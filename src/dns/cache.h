@@ -47,6 +47,11 @@ class Cache {
 
   [[nodiscard]] CacheResult lookup(const DnsName& name, RrType type,
                                    CacheTime now) const;
+  /// The same lookup for the `labels`-label suffix of `name`: an ancestor
+  /// walk over one table builds no names.
+  [[nodiscard]] CacheResult lookup(const NameSuffixes& name,
+                                   std::size_t labels, RrType type,
+                                   CacheTime now) const;
 
   /// Stores a positive RRset (all records must share name/type).
   void insert_positive(const std::vector<DnsRr>& rrset, CacheTime now);
@@ -72,21 +77,31 @@ class Cache {
   struct Key {
     DnsName name;
     RrType type;
-    bool operator==(const Key& o) const {
-      return type == o.type && name == o.name;
-    }
+  };
+  /// A borrowed Key: what lookups probe with.
+  struct KeyRef {
+    NameRef name;
+    RrType type;
+    KeyRef(NameRef n, RrType t) : name(n), type(t) {}
+    KeyRef(const Key& k) : name(k.name), type(k.type) {}  // NOLINT: implicit
   };
   struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return DnsNameHash{}(k.name) * 31 +
-             static_cast<std::size_t>(k.type);
+    using is_transparent = void;
+    std::size_t operator()(KeyRef k) const noexcept {
+      return k.name.hash * 31 + static_cast<std::size_t>(k.type);
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(KeyRef a, KeyRef b) const {
+      return a.type == b.type && wire_equal(a.name, b.name);
     }
   };
 
   CacheConfig config_;
-  std::unordered_map<Key, PositiveEntry, KeyHash> positive_;
-  std::unordered_map<DnsName, NegativeEntry, DnsNameHash> nxdomain_;
-  std::unordered_map<Key, NegativeEntry, KeyHash> nodata_;
+  std::unordered_map<Key, PositiveEntry, KeyHash, KeyEq> positive_;
+  std::unordered_map<DnsName, NegativeEntry, DnsNameHash, DnsNameEq> nxdomain_;
+  std::unordered_map<Key, NegativeEntry, KeyHash, KeyEq> nodata_;
 };
 
 }  // namespace cd::dns

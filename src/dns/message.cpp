@@ -233,7 +233,14 @@ DnsRr make_cname(const DnsName& name, const DnsName& target,
 }
 
 void DnsMessage::encode_into(cd::ByteWriter& w) const {
-  NameCompressor comp;
+  // One compressor per thread, cleared per message: its tables keep their
+  // capacity, so steady-state encodes allocate nothing for compression. A
+  // lone question (every query) has nothing to point at and skips it.
+  thread_local NameCompressor compressor;
+  compressor.clear();
+  const bool lone_question = questions.size() == 1 && answers.empty() &&
+                             authorities.empty() && additionals.empty();
+  NameCompressor* const comp = lone_question ? nullptr : &compressor;
 
   w.u16(header.id);
   std::uint16_t flags = 0;
@@ -251,13 +258,13 @@ void DnsMessage::encode_into(cd::ByteWriter& w) const {
   w.u16(static_cast<std::uint16_t>(additionals.size()));
 
   for (const DnsQuestion& q : questions) {
-    encode_name(q.qname, w, &comp);
+    encode_name(q.qname, w, comp);
     w.u16(static_cast<std::uint16_t>(q.qtype));
     w.u16(1);  // class IN
   }
-  for (const DnsRr& rr : answers) encode_rr(rr, w, &comp);
-  for (const DnsRr& rr : authorities) encode_rr(rr, w, &comp);
-  for (const DnsRr& rr : additionals) encode_rr(rr, w, &comp);
+  for (const DnsRr& rr : answers) encode_rr(rr, w, comp);
+  for (const DnsRr& rr : authorities) encode_rr(rr, w, comp);
+  for (const DnsRr& rr : additionals) encode_rr(rr, w, comp);
 }
 
 std::vector<std::uint8_t> DnsMessage::encode() const {
@@ -313,12 +320,12 @@ const DnsName& DnsMessage::qname() const {
   return questions.empty() ? kRoot : questions.front().qname;
 }
 
-DnsMessage make_query(std::uint16_t id, const DnsName& qname, RrType qtype,
+DnsMessage make_query(std::uint16_t id, DnsName qname, RrType qtype,
                       bool rd) {
   DnsMessage m;
   m.header.id = id;
   m.header.rd = rd;
-  m.questions.push_back(DnsQuestion{qname, qtype});
+  m.questions.push_back(DnsQuestion{std::move(qname), qtype});
   return m;
 }
 

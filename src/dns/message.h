@@ -161,8 +161,9 @@ struct DnsMessage {
 /// payload (or release it back to the pool) instead of copying it.
 [[nodiscard]] std::vector<std::uint8_t> encode_pooled(const DnsMessage& m);
 
-/// Builds a recursion-desired query with the given id.
-[[nodiscard]] DnsMessage make_query(std::uint16_t id, const DnsName& qname,
+/// Builds a recursion-desired query with the given id (takes the name by
+/// value: a freshly built qname moves in without a copy).
+[[nodiscard]] DnsMessage make_query(std::uint16_t id, DnsName qname,
                                     RrType qtype, bool rd = true);
 
 /// Builds a response skeleton matching `query` (id, question echoed).

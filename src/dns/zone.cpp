@@ -27,21 +27,22 @@ void Zone::add(DnsRr rr) {
   nodes_[rr.name][rr.type].push_back(std::move(rr));
 }
 
-const Zone::TypeMap* Zone::find_node(const DnsName& name) const {
+const Zone::TypeMap* Zone::find_node(NameRef name) const {
   const auto it = nodes_.find(name);
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
-std::optional<DnsName> Zone::find_cut(const DnsName& name) const {
+const std::vector<DnsRr>* Zone::find_cut(const NameSuffixes& name) const {
   // Walk from just below the origin down toward `name`, looking for the
   // shallowest NS-bearing node (that is the authoritative cut).
-  const std::size_t origin_n = origin_.label_count();
-  for (std::size_t n = origin_n + 1; n <= name.label_count(); ++n) {
-    const DnsName candidate = name.suffix(n);
-    const TypeMap* node = find_node(candidate);
-    if (node && node->count(RrType::kNs)) return candidate;
+  for (std::size_t n = origin_.label_count() + 1; n <= name.label_count();
+       ++n) {
+    const TypeMap* node = find_node(name[n]);
+    if (!node) continue;
+    const auto it = node->find(RrType::kNs);
+    if (it != node->end()) return &it->second;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void Zone::collect_glue(const std::vector<DnsRr>& ns_set,
@@ -70,11 +71,10 @@ LookupResult Zone::lookup(const DnsName& qname, RrType qtype) const {
   // Delegation check: an NS set below the origin (not a query *for* NS at
   // exactly the cut, which is still a referral per RFC 1034 — the child is
   // authoritative, not us).
-  if (const auto cut = find_cut(qname)) {
-    const TypeMap* node = find_node(*cut);
-    const auto ns_it = node->find(RrType::kNs);
+  const NameSuffixes suffixes(qname);
+  if (const std::vector<DnsRr>* cut = find_cut(suffixes)) {
     result.kind = LookupKind::kDelegation;
-    result.records = ns_it->second;
+    result.records = *cut;
     collect_glue(result.records, result.glue);
     return result;
   }
@@ -106,10 +106,11 @@ LookupResult Zone::lookup(const DnsName& qname, RrType qtype) const {
 
   // Wildcard synthesis: find the closest encloser (deepest existing
   // ancestor), then look for "*" directly beneath it.
-  DnsName encloser = qname.parent();
-  while (!existing_.count(encloser)) encloser = encloser.parent();
-  const DnsName wildcard = encloser.prepend("*");
-  if (const TypeMap* node = find_node(wildcard)) {
+  std::size_t encloser = qname.label_count() - 1;
+  while (!existing_.count(suffixes[encloser])) --encloser;
+  char wildcard[kMaxNameWire];
+  if (const TypeMap* node =
+          find_node(prepend_label("*", suffixes[encloser], wildcard))) {
     const auto it = node->find(qtype);
     if (it != node->end()) {
       result.kind = LookupKind::kAnswer;

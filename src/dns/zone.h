@@ -47,20 +47,22 @@ class Zone {
   [[nodiscard]] std::size_t record_count() const;
 
  private:
-  // Names are keyed in canonical (case-folded) order via DnsName::operator<.
+  // Names are keyed in canonical (case-folded) order; DnsNameLess also
+  // takes borrowed NameRefs, so lookups of ancestors build no names.
   using TypeMap = std::map<RrType, std::vector<DnsRr>>;
 
-  [[nodiscard]] const TypeMap* find_node(const DnsName& name) const;
-  /// Deepest zone cut strictly between origin (exclusive) and name
-  /// (inclusive), if any.
-  [[nodiscard]] std::optional<DnsName> find_cut(const DnsName& name) const;
+  [[nodiscard]] const TypeMap* find_node(NameRef name) const;
+  /// NS set of the shallowest zone cut strictly below the origin and at or
+  /// above `name` (its full label count), if any.
+  [[nodiscard]] const std::vector<DnsRr>* find_cut(
+      const NameSuffixes& name) const;
   void collect_glue(const std::vector<DnsRr>& ns_set,
                     std::vector<DnsRr>& glue) const;
 
   DnsName origin_;
   SoaRdata soa_;
-  std::map<DnsName, TypeMap> nodes_;
-  std::set<DnsName> existing_;  // owner names + empty non-terminals
+  std::map<DnsName, TypeMap, DnsNameLess> nodes_;
+  std::set<DnsName, DnsNameLess> existing_;  // owners + empty non-terminals
 };
 
 }  // namespace cd::dns

@@ -1,5 +1,8 @@
 #include "scanner/qname.h"
 
+#include <array>
+#include <initializer_list>
+
 #include "util/error.h"
 #include "util/str.h"
 
@@ -23,7 +26,7 @@ std::string query_mode_name(QueryMode mode) {
 
 namespace {
 
-std::optional<std::string> subzone_tag(QueryMode mode) {
+std::optional<std::string_view> subzone_tag(QueryMode mode) {
   switch (mode) {
     case QueryMode::kV4Only: return "v4";
     case QueryMode::kV6Only: return "v6";
@@ -36,7 +39,7 @@ std::optional<std::string> subzone_tag(QueryMode mode) {
   return std::nullopt;
 }
 
-std::optional<QueryMode> parse_mode_label(const std::string& label) {
+std::optional<QueryMode> parse_mode_label(std::string_view label) {
   if (label.size() != 2 || label[0] != 'm') return std::nullopt;
   switch (label[1]) {
     case '0': return QueryMode::kInitial;
@@ -48,6 +51,23 @@ std::optional<QueryMode> parse_mode_label(const std::string& label) {
     case '6': return QueryMode::kPoison;
     default: return std::nullopt;
   }
+}
+
+/// The encode_addr() label of `addr` written into `buf`.
+std::string_view hex_addr(const IpAddr& addr, std::array<char, 32>& buf) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  const auto put = [&buf](std::uint64_t v, std::size_t at, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      buf[at + width - 1 - i] = kDigits[(v >> (4 * i)) & 0xF];
+    }
+  };
+  if (addr.is_v4()) {
+    put(addr.v4_bits(), 0, 8);
+    return {buf.data(), 8};
+  }
+  put(addr.bits().hi, 0, 16);
+  put(addr.bits().lo, 16, 16);
+  return {buf.data(), 32};
 }
 
 }  // namespace
@@ -65,11 +85,11 @@ DnsName QnameCodec::zone_apex(QueryMode mode) const {
 }
 
 std::string QnameCodec::encode_addr(const IpAddr& addr) {
-  if (addr.is_v4()) return cd::to_hex(addr.v4_bits(), 8);
-  return cd::to_hex(addr.bits().hi, 16) + cd::to_hex(addr.bits().lo, 16);
+  std::array<char, 32> buf;
+  return std::string(hex_addr(addr, buf));
 }
 
-std::optional<IpAddr> QnameCodec::decode_addr(const std::string& label) {
+std::optional<IpAddr> QnameCodec::decode_addr(std::string_view label) {
   if (label.size() == 8) {
     const auto bits = cd::parse_hex_u64(label);
     if (!bits) return std::nullopt;
@@ -85,14 +105,17 @@ std::optional<IpAddr> QnameCodec::decode_addr(const std::string& label) {
 }
 
 DnsName QnameCodec::encode(const QnameInfo& info) const {
-  DnsName name = zone_apex(info.mode)
-                     .prepend(kw_)
-                     .prepend("m" + std::to_string(static_cast<int>(info.mode)))
-                     .prepend(std::to_string(info.asn))
-                     .prepend(encode_addr(info.dst))
-                     .prepend(encode_addr(info.src))
-                     .prepend(std::to_string(info.ts));
-  return name;
+  // The whole qname is built in one prepend onto the apex. The decimal
+  // labels fit std::string's inline buffer; the hex ones (32 digits for
+  // IPv6) are written into local arrays.
+  std::array<char, 32> src;
+  std::array<char, 32> dst;
+  const std::string ts = std::to_string(info.ts);
+  const std::string asn = std::to_string(info.asn);
+  const std::string mode = "m" + std::to_string(static_cast<int>(info.mode));
+  const std::initializer_list<std::string_view> labels = {
+      ts, hex_addr(info.src, src), hex_addr(info.dst, dst), asn, mode, kw_};
+  return zone_apex(info.mode).prepend(labels);
 }
 
 QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {
@@ -100,18 +123,17 @@ QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {
   if (!qname.is_subdomain_of(base_)) return out;
 
   // Peel labels right-to-left above the base.
-  const auto& labels = qname.labels();
-  std::size_t remaining = labels.size() - base_.label_count();
-  auto peek = [&](std::size_t from_right) -> const std::string* {
-    if (from_right >= remaining) return nullptr;
-    return &labels[remaining - 1 - from_right];
+  const std::size_t remaining = qname.label_count() - base_.label_count();
+  auto peek = [&](std::size_t from_right) -> std::optional<std::string_view> {
+    if (from_right >= remaining) return std::nullopt;
+    return qname.label(remaining - 1 - from_right);
   };
 
   std::size_t idx = 0;
 
   // Optional subzone tag.
   std::optional<QueryMode> zone_mode;
-  if (const std::string* l = peek(idx)) {
+  if (const auto l = peek(idx)) {
     if (cd::iequals(*l, "v4")) zone_mode = QueryMode::kV4Only;
     if (cd::iequals(*l, "v6")) zone_mode = QueryMode::kV6Only;
     if (cd::iequals(*l, "tcp")) zone_mode = QueryMode::kTcp;
@@ -120,14 +142,14 @@ QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {
   }
 
   // Keyword.
-  const std::string* kw = peek(idx);
+  const auto kw = peek(idx);
   if (!kw || !cd::iequals(*kw, kw_)) return out;
   out.in_experiment = true;
   out.mode = zone_mode;
   ++idx;
 
   // Mode label.
-  if (const std::string* l = peek(idx)) {
+  if (const auto l = peek(idx)) {
     const auto mode = parse_mode_label(*l);
     if (!mode) return out;
     if (zone_mode && *zone_mode != *mode) return out;  // inconsistent name
@@ -138,7 +160,7 @@ QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {
   }
 
   // ASN.
-  if (const std::string* l = peek(idx)) {
+  if (const auto l = peek(idx)) {
     const auto asn = cd::parse_u64(*l);
     if (!asn || *asn > UINT32_MAX) return out;
     out.asn = static_cast<cd::sim::Asn>(*asn);
@@ -148,14 +170,14 @@ QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {
   }
 
   // dst, then src.
-  if (const std::string* l = peek(idx)) {
+  if (const auto l = peek(idx)) {
     out.dst = decode_addr(*l);
     if (!out.dst) return out;
     ++idx;
   } else {
     return out;
   }
-  if (const std::string* l = peek(idx)) {
+  if (const auto l = peek(idx)) {
     out.src = decode_addr(*l);
     if (!out.src) return out;
     ++idx;
@@ -164,7 +186,7 @@ QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {
   }
 
   // Timestamp.
-  if (const std::string* l = peek(idx)) {
+  if (const auto l = peek(idx)) {
     const auto ts = cd::parse_u64(*l);
     if (!ts) return out;
     out.ts = static_cast<cd::sim::SimTime>(*ts);

@@ -327,4 +327,28 @@ TEST(DnsMalformed, RdlengthPastEndThrows) {
   EXPECT_THROW((void)DnsMessage::decode(wire), ParseError);
 }
 
+TEST(DnsMessage, CompressionKeepsDottedLabelApartFromLabelBoundary) {
+  // The one wire label "a.b" is a different name from the two labels "a",
+  // "b". A message naming both must not compress one into a pointer at the
+  // other. Presentation form cannot express the dotted label, so it is
+  // crafted through decode_name on hand-built wire bytes.
+  const std::vector<std::uint8_t> dotted_wire = {3, 'a', '.', 'b', 0};
+  std::size_t off = 0;
+  const DnsName dotted = dns::decode_name(dotted_wire, off);
+  ASSERT_EQ(dotted.label_count(), 1u);
+  const DnsName two = DnsName::must_parse("a.b");
+  ASSERT_NE(dotted, two);
+
+  DnsMessage m = dns::make_query(3, two, RrType::kA);
+  m.header.qr = true;
+  m.answers.push_back(
+      dns::make_a(dotted, IpAddr::must_parse("192.0.2.1"), 60));
+  const DnsMessage back = round_trip(m);
+  ASSERT_EQ(back.answers.size(), 1u);
+  EXPECT_EQ(back.answers[0].name.label_count(), 1u);
+  EXPECT_EQ(back.answers[0].name, dotted);
+  EXPECT_EQ(back.questions[0].qname, two);
+  EXPECT_EQ(back, m);
+}
+
 }  // namespace
