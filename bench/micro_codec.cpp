@@ -30,20 +30,28 @@ std::uint64_t alloc_count() {
 // Global allocation hook: counts every operator-new call in the process.
 // Benchmark loops measure the delta across their iterations, so framework
 // setup allocations outside the loop do not pollute allocs/op.
-void* operator new(std::size_t size) {
+// None of these is inlined: where GCC sees the malloc() behind an inlined
+// operator new meet operator delete, or operator new meet the free() behind
+// an inlined operator delete, it warns (-Wmismatched-new-delete), although
+// every pair here goes through malloc and free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

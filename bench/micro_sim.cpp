@@ -27,20 +27,28 @@ std::atomic<std::uint64_t> g_allocs{0};
 // Count every heap allocation so the delivery benchmarks can report
 // allocs/packet. Relaxed atomic: benchmark threads only ever read deltas
 // they produced themselves.
-void* operator new(std::size_t size) {
+// None of these is inlined: where GCC sees the malloc() behind an inlined
+// operator new meet operator delete, or operator new meet the free() behind
+// an inlined operator delete, it warns (-Wmismatched-new-delete), although
+// every pair here goes through malloc and free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

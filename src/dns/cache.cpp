@@ -1,7 +1,5 @@
 #include "dns/cache.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 
 namespace cd::dns {
@@ -15,31 +13,21 @@ Cache::Cache(CacheConfig config) : config_(config) {}
 
 CacheResult Cache::lookup(const DnsName& name, RrType type,
                           CacheTime now) const {
-  return lookup(NameSuffixes(name), name.label_count(), type, now);
-}
-
-CacheResult Cache::lookup(const NameSuffixes& name, std::size_t labels,
-                          RrType type, CacheTime now) const {
   CacheResult result;
 
   // RFC 8020: an unexpired NXDOMAIN at the name or any ancestor proves the
   // name does not exist.
-  const std::size_t shallowest = config_.rfc8020 ? 0 : labels;
-  for (std::size_t n = labels + 1; n-- > shallowest;) {
-    const auto it = nxdomain_.find(name[n]);
-    if (it != nxdomain_.end() && it->second.expires > now) {
-      result.kind = CacheHitKind::kNegativeName;
-      return result;
-    }
+  if (nxdomain_depth(NameSuffixes(name), name.label_count(), now)) {
+    result.kind = CacheHitKind::kNegativeName;
+    return result;
   }
 
-  const KeyRef key(name[labels], type);
-  const auto pit = positive_.find(key);
-  if (pit != positive_.end() && pit->second.expires > now) {
+  const KeyRef key(name, type);
+  if (const PositiveEntry* hit = positive_entry(key, now)) {
     result.kind = CacheHitKind::kPositive;
-    result.records = pit->second.records;
+    result.records = hit->records;
     const std::uint32_t remaining = static_cast<std::uint32_t>(
-        std::max<CacheTime>(0, (pit->second.expires - now) / kMicrosPerSecond));
+        std::max<CacheTime>(0, (hit->expires - now) / kMicrosPerSecond));
     for (DnsRr& rr : result.records) rr.ttl = remaining;
     return result;
   }
@@ -50,6 +38,23 @@ CacheResult Cache::lookup(const NameSuffixes& name, std::size_t labels,
     return result;
   }
   return result;
+}
+
+std::optional<std::size_t> Cache::nxdomain_depth(const NameSuffixes& name,
+                                                 std::size_t labels,
+                                                 CacheTime now) const {
+  for (std::size_t n = config_.rfc8020 ? 0 : labels; n <= labels; ++n) {
+    const auto it = nxdomain_.find(name[n]);
+    if (it != nxdomain_.end() && it->second.expires > now) return n;
+  }
+  return std::nullopt;
+}
+
+const Cache::PositiveEntry* Cache::positive_entry(KeyRef key,
+                                                  CacheTime now) const {
+  const auto it = positive_.find(key);
+  return it != positive_.end() && it->second.expires > now ? &it->second
+                                                            : nullptr;
 }
 
 void Cache::insert_positive(const std::vector<DnsRr>& rrset, CacheTime now) {

@@ -7,8 +7,8 @@
 // (§3.6.4), so its presence here is load-bearing for the reproduction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -47,11 +47,18 @@ class Cache {
 
   [[nodiscard]] CacheResult lookup(const DnsName& name, RrType type,
                                    CacheTime now) const;
-  /// The same lookup for the `labels`-label suffix of `name`: an ancestor
-  /// walk over one table builds no names.
-  [[nodiscard]] CacheResult lookup(const NameSuffixes& name,
-                                   std::size_t labels, RrType type,
-                                   CacheTime now) const;
+
+  /// The deepest suffix of `name` (1 to label_count() labels) with a
+  /// cached NS RRset that `accept` takes: `accept(labels, ns_set)` is called
+  /// deepest first for every suffix whose lookup(suffix, kNs, now) would be
+  /// a positive hit (ns_set as stored, TTLs not decayed), until it
+  /// returns true. Returns that label count, or 0 if none was taken. With
+  /// RFC 8020 one walk from the root finds the shallowest unexpired
+  /// NXDOMAIN and only the suffixes above it are looked up; without it each
+  /// suffix checks its own NXDOMAIN.
+  template <typename Accept>
+  std::size_t deepest_ns(const NameSuffixes& name, CacheTime now,
+                         Accept&& accept) const;
 
   /// Stores a positive RRset (all records must share name/type).
   void insert_positive(const std::vector<DnsRr>& rrset, CacheTime now);
@@ -98,10 +105,36 @@ class Cache {
     }
   };
 
+  /// Labels of the shallowest suffix of `name`, of at most `labels` labels,
+  /// with an unexpired NXDOMAIN (RFC 8020 on; off, only the `labels`-label
+  /// suffix is checked), or nullopt.
+  [[nodiscard]] std::optional<std::size_t> nxdomain_depth(
+      const NameSuffixes& name, std::size_t labels, CacheTime now) const;
+  /// The unexpired positive RRset at `key`, or nullptr.
+  [[nodiscard]] const PositiveEntry* positive_entry(KeyRef key,
+                                                    CacheTime now) const;
+
   CacheConfig config_;
   std::unordered_map<Key, PositiveEntry, KeyHash, KeyEq> positive_;
   std::unordered_map<DnsName, NegativeEntry, DnsNameHash, DnsNameEq> nxdomain_;
   std::unordered_map<Key, NegativeEntry, KeyHash, KeyEq> nodata_;
 };
+
+template <typename Accept>
+std::size_t Cache::deepest_ns(const NameSuffixes& name, CacheTime now,
+                              Accept&& accept) const {
+  std::size_t deepest = name.label_count();
+  if (config_.rfc8020) {
+    if (const auto nx = nxdomain_depth(name, deepest, now)) {
+      deepest = std::max<std::size_t>(*nx, 1) - 1;
+    }
+  }
+  for (std::size_t n = deepest; n > 0; --n) {
+    if (!config_.rfc8020 && nxdomain_depth(name, n, now)) continue;
+    const PositiveEntry* ns = positive_entry({name[n], RrType::kNs}, now);
+    if (ns && accept(n, ns->records)) return n;
+  }
+  return 0;
+}
 
 }  // namespace cd::dns

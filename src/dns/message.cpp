@@ -232,6 +232,30 @@ DnsRr make_cname(const DnsName& name, const DnsName& target,
   return DnsRr{name, RrType::kCname, ttl, CnameRdata{target}};
 }
 
+void write_header(const DnsHeader& h, std::uint16_t qdcount,
+                  std::uint16_t ancount, std::uint16_t nscount,
+                  std::uint16_t arcount, cd::ByteWriter& w) {
+  w.u16(h.id);
+  std::uint16_t flags = 0;
+  if (h.qr) flags |= 0x8000;
+  flags |= static_cast<std::uint16_t>(h.opcode) << 11;
+  if (h.aa) flags |= 0x0400;
+  if (h.tc) flags |= 0x0200;
+  if (h.rd) flags |= 0x0100;
+  if (h.ra) flags |= 0x0080;
+  flags |= static_cast<std::uint16_t>(h.rcode);
+  w.u16(flags);
+  w.u16(qdcount);
+  w.u16(ancount);
+  w.u16(nscount);
+  w.u16(arcount);
+}
+
+void write_question_tail(RrType qtype, cd::ByteWriter& w) {
+  w.u16(static_cast<std::uint16_t>(qtype));
+  w.u16(1);  // class IN
+}
+
 void DnsMessage::encode_into(cd::ByteWriter& w) const {
   // One compressor per thread, cleared per message: its tables keep their
   // capacity, so steady-state encodes allocate nothing for compression. A
@@ -242,25 +266,13 @@ void DnsMessage::encode_into(cd::ByteWriter& w) const {
                              authorities.empty() && additionals.empty();
   NameCompressor* const comp = lone_question ? nullptr : &compressor;
 
-  w.u16(header.id);
-  std::uint16_t flags = 0;
-  if (header.qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>(header.opcode) << 11;
-  if (header.aa) flags |= 0x0400;
-  if (header.tc) flags |= 0x0200;
-  if (header.rd) flags |= 0x0100;
-  if (header.ra) flags |= 0x0080;
-  flags |= static_cast<std::uint16_t>(header.rcode);
-  w.u16(flags);
-  w.u16(static_cast<std::uint16_t>(questions.size()));
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  w.u16(static_cast<std::uint16_t>(authorities.size()));
-  w.u16(static_cast<std::uint16_t>(additionals.size()));
-
+  write_header(header, static_cast<std::uint16_t>(questions.size()),
+               static_cast<std::uint16_t>(answers.size()),
+               static_cast<std::uint16_t>(authorities.size()),
+               static_cast<std::uint16_t>(additionals.size()), w);
   for (const DnsQuestion& q : questions) {
     encode_name(q.qname, w, comp);
-    w.u16(static_cast<std::uint16_t>(q.qtype));
-    w.u16(1);  // class IN
+    write_question_tail(q.qtype, w);
   }
   for (const DnsRr& rr : answers) encode_rr(rr, w, comp);
   for (const DnsRr& rr : authorities) encode_rr(rr, w, comp);

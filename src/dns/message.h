@@ -156,6 +156,15 @@ struct DnsMessage {
   friend bool operator==(const DnsMessage&, const DnsMessage&) = default;
 };
 
+/// The fixed wire layout around names, shared by DnsMessage::encode_into and
+/// writers that put a name's labels on the wire themselves: the 12-byte
+/// header (`h`'s id and flags, then the QD/AN/NS/AR counts), and the QTYPE
+/// and class IN that follow a question's QNAME.
+void write_header(const DnsHeader& h, std::uint16_t qdcount,
+                  std::uint16_t ancount, std::uint16_t nscount,
+                  std::uint16_t arcount, cd::ByteWriter& w);
+void write_question_tail(RrType qtype, cd::ByteWriter& w);
+
 /// Encodes `m` into a buffer drawn from the thread-local cd::BufferPool, so
 /// repeated encodes on one thread reuse capacity. Hand the result to a packet
 /// payload (or release it back to the pool) instead of copying it.

@@ -3,7 +3,8 @@
 
 #include <map>
 #include <optional>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dns/message.h"
@@ -47,8 +48,9 @@ class Zone {
   [[nodiscard]] std::size_t record_count() const;
 
  private:
-  // Names are keyed in canonical (case-folded) order; DnsNameLess also
-  // takes borrowed NameRefs, so lookups of ancestors build no names.
+  // Names are hashed case-folded; DnsNameHash / DnsNameEq also take
+  // borrowed NameRefs, so lookups of ancestors build no names. Nothing
+  // walks the nodes in name order.
   using TypeMap = std::map<RrType, std::vector<DnsRr>>;
 
   [[nodiscard]] const TypeMap* find_node(NameRef name) const;
@@ -61,8 +63,9 @@ class Zone {
 
   DnsName origin_;
   SoaRdata soa_;
-  std::map<DnsName, TypeMap, DnsNameLess> nodes_;
-  std::set<DnsName, DnsNameLess> existing_;  // owners + empty non-terminals
+  std::unordered_map<DnsName, TypeMap, DnsNameHash, DnsNameEq> nodes_;
+  // Owners + empty non-terminals.
+  std::unordered_set<DnsName, DnsNameHash, DnsNameEq> existing_;
 };
 
 }  // namespace cd::dns

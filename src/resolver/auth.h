@@ -95,6 +95,8 @@ class AuthServer {
 /// serializes it straight from the span pair. This is the one framing
 /// implementation (the legacy copying `tcp_frame` was folded in).
 [[nodiscard]] cd::GatherBuf tcp_frame_pooled(const cd::dns::DnsMessage& message);
+/// The same framing for a message already in wire form (a pooled buffer).
+[[nodiscard]] cd::GatherBuf tcp_frame_pooled(std::vector<std::uint8_t> message);
 
 /// Zero-copy view of the message behind the TCP length prefix; the returned
 /// span borrows `framed`. Throws cd::ParseError on bad framing.

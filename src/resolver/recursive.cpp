@@ -212,32 +212,32 @@ void RecursiveResolver::resolve_internal(const DnsName& qname, RrType qtype,
 void RecursiveResolver::seed_servers_from_cache(const TaskPtr& task) {
   const cd::sim::SimTime now = host_.network().loop().now();
   // Deepest ancestor with a cached NS set whose addresses we also know.
-  const cd::dns::NameSuffixes suffixes(task->qname);
-  for (std::size_t n = task->qname.label_count(); n > 0; --n) {
-    const auto ns_hit = cache_.lookup(suffixes, n, RrType::kNs, now);
-    if (ns_hit.kind != CacheHitKind::kPositive) continue;
-    std::vector<IpAddr> servers;
-    for (const DnsRr& rr : ns_hit.records) {
-      const auto* rd = std::get_if<cd::dns::NsRdata>(&rr.rdata);
-      if (!rd) continue;
-      for (RrType t : {RrType::kA, RrType::kAaaa}) {
-        const auto addr_hit = cache_.lookup(rd->nsdname, t, now);
-        if (addr_hit.kind != CacheHitKind::kPositive) continue;
-        for (const DnsRr& arr : addr_hit.records) {
-          if (const auto* a = std::get_if<cd::dns::ARdata>(&arr.rdata)) {
-            servers.push_back(a->addr);
-          } else if (const auto* aaaa =
-                         std::get_if<cd::dns::AaaaRdata>(&arr.rdata)) {
-            servers.push_back(aaaa->addr);
+  std::vector<IpAddr> servers;
+  const std::size_t depth = cache_.deepest_ns(
+      cd::dns::NameSuffixes(task->qname), now,
+      [&](std::size_t, const std::vector<DnsRr>& ns_set) {
+        for (const DnsRr& rr : ns_set) {
+          const auto* rd = std::get_if<cd::dns::NsRdata>(&rr.rdata);
+          if (!rd) continue;
+          for (RrType t : {RrType::kA, RrType::kAaaa}) {
+            const auto addr_hit = cache_.lookup(rd->nsdname, t, now);
+            if (addr_hit.kind != CacheHitKind::kPositive) continue;
+            for (const DnsRr& arr : addr_hit.records) {
+              if (const auto* a = std::get_if<cd::dns::ARdata>(&arr.rdata)) {
+                servers.push_back(a->addr);
+              } else if (const auto* aaaa =
+                             std::get_if<cd::dns::AaaaRdata>(&arr.rdata)) {
+                servers.push_back(aaaa->addr);
+              }
+            }
           }
         }
-      }
-    }
-    if (!servers.empty()) {
-      task->servers = std::move(servers);
-      task->zone_depth = n;
-      return;
-    }
+        return !servers.empty();
+      });
+  if (depth > 0) {
+    task->servers = std::move(servers);
+    task->zone_depth = depth;
+    return;
   }
   task->servers = hints_.servers;
   task->zone_depth = 0;

@@ -1,6 +1,5 @@
 #include "scanner/prober.h"
 
-#include "dns/message.h"
 #include "net/packet.h"
 #include "resolver/auth.h"  // tcp_frame_pooled
 #include "util/error.h"
@@ -56,13 +55,9 @@ void Prober::send_query(const IpAddr& src, std::uint16_t sport,
   info.asn = target.asn;
   info.mode = mode;
 
-  const cd::dns::DnsMessage query = cd::dns::make_query(
-      static_cast<std::uint16_t>(target_rng(target.addr).u64()),
-      codec_.encode(info), cd::dns::RrType::kA,
-      /*rd=*/true);
-
+  const auto id = static_cast<std::uint16_t>(target_rng(target.addr).u64());
   Packet pkt = cd::net::make_udp(src, sport, target.addr, 53,
-                                 cd::dns::encode_pooled(query));
+                                 codec_.query_pooled(info, id));
   // Injected at the vantage's AS: a spoofed packet still physically leaves
   // our network, so our border's (absent) OSAV is what matters.
   vantage_.network().send(std::move(pkt), vantage_.asn());
@@ -95,17 +90,13 @@ void Prober::send_transport(const TargetInfo& target, QueryMode mode) {
   info.asn = target.asn;
   info.mode = mode;
 
-  const cd::dns::DnsMessage query = cd::dns::make_query(
-      static_cast<std::uint16_t>(target_rng(target.addr).u64()),
-      codec_.encode(info), cd::dns::RrType::kA,
-      /*rd=*/true);
-
+  const auto id = static_cast<std::uint16_t>(target_rng(target.addr).u64());
   const IpAddr dst = target.addr;
   // A generous timeout keeps slow-but-completing recursions from straddling
   // the deadline: a reply either folds into the digest under every shard
   // layout or under none.
   vantage_.tcp_query(
-      *src, dst, 53, resolver::tcp_frame_pooled(query),
+      *src, dst, 53, resolver::tcp_frame_pooled(codec_.query_pooled(info, id)),
       [this, dst](std::optional<std::vector<std::uint8_t>> reply) {
         if (reply && !reply->empty()) {
           transport_replies_[dst] += reply_hash(*reply);

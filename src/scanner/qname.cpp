@@ -1,8 +1,9 @@
 #include "scanner/qname.h"
 
 #include <array>
-#include <initializer_list>
+#include <charconv>
 
+#include "dns/message.h"
 #include "util/error.h"
 #include "util/str.h"
 
@@ -70,6 +71,18 @@ std::string_view hex_addr(const IpAddr& addr, std::array<char, 32>& buf) {
   return {buf.data(), 32};
 }
 
+/// Appends `label` with its length octet.
+void put_label(std::string_view label, cd::ByteWriter& w) {
+  w.u8(static_cast<std::uint8_t>(label.size()));
+  w.text(label);
+}
+
+void put_decimal(std::int64_t v, cd::ByteWriter& w) {
+  char buf[20];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  put_label({buf, static_cast<std::size_t>(end - buf)}, w);
+}
+
 }  // namespace
 
 QnameCodec::QnameCodec(DnsName base, std::string kw)
@@ -77,6 +90,14 @@ QnameCodec::QnameCodec(DnsName base, std::string kw)
   CD_ENSURE(!kw_.empty(), "QnameCodec: empty keyword");
   CD_ENSURE(kw_ != "v4" && kw_ != "v6" && kw_ != "tcp" && kw_ != "poison",
             "QnameCodec: keyword collides with subzone tag");
+  for (std::size_t m = 0; m < kQueryModeCount; ++m) {
+    const auto mode = static_cast<QueryMode>(m);
+    const char mode_label[] = {'m', static_cast<char>('0' + m)};
+    const DnsName name =
+        zone_apex(mode).prepend({std::string_view(mode_label, 2), kw_});
+    tails_[m].assign(name.wire());
+    tails_[m].push_back('\0');  // root
+  }
 }
 
 DnsName QnameCodec::zone_apex(QueryMode mode) const {
@@ -104,18 +125,42 @@ std::optional<IpAddr> QnameCodec::decode_addr(std::string_view label) {
   return std::nullopt;
 }
 
+void QnameCodec::write_labels(const QnameInfo& info, cd::ByteWriter& w) const {
+  const std::size_t start = w.size();
+  std::array<char, 32> hex;
+  put_decimal(info.ts, w);
+  put_label(hex_addr(info.src, hex), w);
+  put_label(hex_addr(info.dst, hex), w);
+  put_decimal(info.asn, w);
+  w.text(tails_.at(static_cast<std::size_t>(info.mode)));
+  CD_ENSURE(w.size() - start <= cd::dns::kMaxNameWire + 1,
+            "QnameCodec: name too long");
+}
+
 DnsName QnameCodec::encode(const QnameInfo& info) const {
-  // The whole qname is built in one prepend onto the apex. The decimal
-  // labels fit std::string's inline buffer; the hex ones (32 digits for
-  // IPv6) are written into local arrays.
-  std::array<char, 32> src;
-  std::array<char, 32> dst;
-  const std::string ts = std::to_string(info.ts);
-  const std::string asn = std::to_string(info.asn);
-  const std::string mode = "m" + std::to_string(static_cast<int>(info.mode));
-  const std::initializer_list<std::string_view> labels = {
-      ts, hex_addr(info.src, src), hex_addr(info.dst, dst), asn, mode, kw_};
-  return zone_apex(info.mode).prepend(labels);
+  std::vector<std::uint8_t> wire;
+  cd::ByteWriter w(wire);
+  write_labels(info, w);
+  cd::ByteReader r(wire, "QnameCodec::encode");
+  return cd::dns::decode_name(r);
+}
+
+void QnameCodec::write_query(const QnameInfo& info, std::uint16_t id,
+                             cd::ByteWriter& w) const {
+  cd::dns::DnsHeader header;
+  header.id = id;
+  header.rd = true;
+  cd::dns::write_header(header, 1, 0, 0, 0, w);
+  write_labels(info, w);
+  cd::dns::write_question_tail(cd::dns::RrType::kA, w);
+}
+
+std::vector<std::uint8_t> QnameCodec::query_pooled(const QnameInfo& info,
+                                                   std::uint16_t id) const {
+  std::vector<std::uint8_t> out = cd::BufferPool::acquire();
+  cd::ByteWriter w(out);
+  write_query(info, id, w);
+  return out;
 }
 
 QnameCodec::Decoded QnameCodec::decode(const DnsName& qname) const {

@@ -13,10 +13,12 @@
 // still yield whatever fields they carry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dns/name.h"
 #include "net/ip.h"
@@ -36,6 +38,7 @@ enum class QueryMode : std::uint8_t {
   kPoison = 6,      // attacker trigger query via the anycast-delegated
                     // poison subzone (attack/poison.h)
 };
+inline constexpr std::size_t kQueryModeCount = 7;
 
 [[nodiscard]] std::string query_mode_name(QueryMode mode);
 
@@ -62,6 +65,16 @@ class QnameCodec {
 
   [[nodiscard]] cd::dns::DnsName encode(const QnameInfo& info) const;
 
+  /// The query for `info`: a 12-byte header (`id`, RD set, one question),
+  /// the encode() name, QTYPE A and class IN, written through `w`. These are
+  /// the bytes of make_query(id, encode(info), kA, true).encode(), built
+  /// with no name, message or hash.
+  void write_query(const QnameInfo& info, std::uint16_t id,
+                   cd::ByteWriter& w) const;
+  /// write_query() into a buffer from the thread-local cd::BufferPool.
+  [[nodiscard]] std::vector<std::uint8_t> query_pooled(const QnameInfo& info,
+                                                       std::uint16_t id) const;
+
   /// What decode() could recover. Fields appear right-to-left as labels are
   /// present; `full()` means the whole template parsed (src attribution is
   /// possible).
@@ -84,8 +97,15 @@ class QnameCodec {
       std::string_view label);
 
  private:
+  /// Writes the wire labels of encode(info), root byte included: the one
+  /// place that knows the template.
+  void write_labels(const QnameInfo& info, cd::ByteWriter& w) const;
+
   cd::dns::DnsName base_;
   std::string kw_;
+  // Per mode, the fixed right-hand end of its names in wire form: the mode
+  // label, the keyword, the zone apex and the root byte.
+  std::array<std::string, kQueryModeCount> tails_;
 };
 
 }  // namespace cd::scanner

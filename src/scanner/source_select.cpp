@@ -1,6 +1,7 @@
 #include "scanner/source_select.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.h"
 
@@ -9,6 +10,15 @@ namespace cd::scanner {
 using cd::net::IpAddr;
 using cd::net::IpFamily;
 using cd::net::Prefix;
+
+namespace {
+
+const IpAddr kPrivateV4 = IpAddr::must_parse("192.168.0.10");
+const IpAddr kPrivateV6 = IpAddr::must_parse("fc00::10");
+const IpAddr kLoopbackV4 = IpAddr::must_parse("127.0.0.1");
+const IpAddr kLoopbackV6 = IpAddr::must_parse("::1");
+
+}  // namespace
 
 std::string source_category_name(SourceCategory category) {
   switch (category) {
@@ -21,10 +31,42 @@ std::string source_category_name(SourceCategory category) {
   return "?";
 }
 
+SourceSelector::BaseSet::BaseSet(std::size_t max_keys) {
+  // At most half full.
+  const std::size_t slots =
+      std::bit_ceil(std::max<std::size_t>(16, 2 * max_keys));
+  keys_.resize(slots);
+  stamps_.assign(slots, 0);
+}
+
+void SourceSelector::BaseSet::clear() {
+  size_ = 0;
+  if (++gen_ == 0) {  // wrapped: no stale stamp may read as current
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    gen_ = 1;
+  }
+}
+
+bool SourceSelector::BaseSet::insert(const cd::net::U128& key) {
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t i = cd::net::U128Hash{}(key) & mask;; i = (i + 1) & mask) {
+    if (stamps_[i] != gen_) {
+      CD_ENSURE(2 * ++size_ <= keys_.size(), "BaseSet: over capacity");
+      stamps_[i] = gen_;
+      keys_[i] = key;
+      return true;
+    }
+    if (keys_[i] == key) return false;
+  }
+}
+
 SourceSelector::SourceSelector(const cd::sim::Topology& topology,
                                std::vector<IpAddr> hitlist_v6,
                                SourceSelectConfig config, cd::Rng rng)
-    : topology_(topology), config_(config), seed_(rng.u64()) {
+    : topology_(topology),
+      config_(config),
+      seen_bases_(4 * config.max_other_prefixes),
+      seed_(rng.u64()) {
   for (const IpAddr& addr : hitlist_v6) {
     if (!addr.is_v6()) continue;
     const auto asn = topology_.asn_of(addr);
@@ -67,7 +109,7 @@ std::vector<IpAddr> SourceSelector::other_prefix_v4(const IpAddr& target,
   if (total == 0) return {};
 
   std::vector<IpAddr> out;
-  std::unordered_set<cd::net::U128, cd::net::U128Hash> seen_bases;
+  seen_bases_.clear();
 
   if (total <= 4 * config_.max_other_prefixes) {
     // Small AS: enumerate every /24, drop the target's own, sample.
@@ -81,8 +123,7 @@ std::vector<IpAddr> SourceSelector::other_prefix_v4(const IpAddr& target,
       }
     }
     std::erase_if(all, [&](const Prefix& p) {
-      return p.contains(target) || seen_bases.count(p.base().bits()) ||
-             (seen_bases.insert(p.base().bits()), false);
+      return p.contains(target) || !seen_bases_.insert(p.base().bits());
     });
     rng.shuffle(all);
     if (all.size() > config_.max_other_prefixes) {
@@ -110,7 +151,7 @@ std::vector<IpAddr> SourceSelector::other_prefix_v4(const IpAddr& target,
                            ? Prefix(announced.base().offset_by(pick << 8), 24)
                            : Prefix(announced.base(), 24);
     if (p24.contains(target)) continue;
-    if (!seen_bases.insert(p24.base().bits()).second) continue;
+    if (!seen_bases_.insert(p24.base().bits())) continue;
     out.push_back(pick_v4_host(p24, rng));
   }
   return out;
@@ -123,7 +164,7 @@ std::vector<IpAddr> SourceSelector::other_prefix_v6(const IpAddr& target,
   const Prefix target_p64(target, 64);
 
   std::vector<IpAddr> out;
-  std::unordered_set<cd::net::U128, cd::net::U128Hash> seen_bases;
+  seen_bases_.clear();
   const std::size_t want = config_.max_other_prefixes;
 
   // Preference pass: hitlist-active /64s in this AS (observed activity).
@@ -135,7 +176,7 @@ std::vector<IpAddr> SourceSelector::other_prefix_v6(const IpAddr& target,
       for (const Prefix& p64 : active) {
         if (out.size() >= want) break;
         if (p64 == target_p64) continue;
-        if (!seen_bases.insert(p64.base().bits()).second) continue;
+        if (!seen_bases_.insert(p64.base().bits())) continue;
         out.push_back(pick_v6_host(p64, rng));
       }
     }
@@ -160,7 +201,7 @@ std::vector<IpAddr> SourceSelector::other_prefix_v6(const IpAddr& target,
                    64);
     }
     if (p64 == target_p64) continue;
-    if (!seen_bases.insert(p64.base().bits()).second) continue;
+    if (!seen_bases_.insert(p64.base().bits())) continue;
     out.push_back(pick_v6_host(p64, rng));
   }
   return out;
@@ -175,12 +216,13 @@ std::vector<SpoofedSource> SourceSelector::sources_for(const IpAddr& target,
                                    cd::net::IpAddrHash{}(target)));
   cd::Rng rng(mix);
 
-  std::vector<SpoofedSource> out;
   const bool v4 = target.is_v4();
 
   // Other-prefix (up to 97).
   const auto others =
       v4 ? other_prefix_v4(target, asn, rng) : other_prefix_v6(target, asn, rng);
+  std::vector<SpoofedSource> out;
+  out.reserve(others.size() + 4);
   for (const IpAddr& addr : others) {
     out.push_back({addr, SourceCategory::kOtherPrefix});
   }
@@ -200,17 +242,13 @@ std::vector<SpoofedSource> SourceSelector::sources_for(const IpAddr& target,
   }
 
   // Private / unique-local.
-  out.push_back({v4 ? IpAddr::must_parse("192.168.0.10")
-                    : IpAddr::must_parse("fc00::10"),
-                 SourceCategory::kPrivate});
+  out.push_back({v4 ? kPrivateV4 : kPrivateV6, SourceCategory::kPrivate});
 
   // Destination-as-source.
   out.push_back({target, SourceCategory::kDstAsSrc});
 
   // Loopback.
-  out.push_back({v4 ? IpAddr::must_parse("127.0.0.1")
-                    : IpAddr::must_parse("::1"),
-                 SourceCategory::kLoopback});
+  out.push_back({v4 ? kLoopbackV4 : kLoopbackV6, SourceCategory::kLoopback});
 
   return out;
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ip.h"
@@ -69,8 +68,26 @@ class SourceSelector {
   [[nodiscard]] cd::net::IpAddr pick_v6_host(const cd::net::Prefix& p64,
                                              cd::Rng& rng) const;
 
+  /// The /24 or /64 bases one target's other-prefix pass has taken: an
+  /// open-addressed table sized from max_other_prefixes (a pass inserts at
+  /// most 4x that many), emptied per target by bumping a generation stamp.
+  class BaseSet {
+   public:
+    explicit BaseSet(std::size_t max_keys);
+    void clear();
+    /// Adds `key`; false if this target's pass already holds it.
+    bool insert(const cd::net::U128& key);
+
+   private:
+    std::vector<cd::net::U128> keys_;
+    std::vector<std::uint32_t> stamps_;  // slot in use iff == gen_
+    std::uint32_t gen_ = 0;
+    std::size_t size_ = 0;
+  };
+
   const cd::sim::Topology& topology_;
   SourceSelectConfig config_;
+  BaseSet seen_bases_;
   std::uint64_t seed_;  // per-target generators derive from this, stateless
   // hitlist /64 bases grouped by ASN for fast preference lookup
   std::unordered_map<cd::sim::Asn, std::vector<cd::net::Prefix>> hitlist_by_asn_;

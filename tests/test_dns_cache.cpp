@@ -1,8 +1,12 @@
 // Unit tests: resolver cache — TTL expiry, decay, negatives, RFC 8020.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dns/cache.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -261,6 +265,79 @@ TEST(CacheAdversarial, AttackerFillCannotEvictLiveEntries) {
   EXPECT_LE(cache.size(), 3u);  // target + final insert (+ slack)
   EXPECT_EQ(cache.lookup(target, RrType::kA, 40 * kSec).kind,
             CacheHitKind::kPositive);
+}
+
+// --- the resolver's NS seeding walk -------------------------------------------
+
+/// deepest_ns() must take the same depth as the plain per-depth loop —
+/// lookup(suffix, kNs) from the full name up, first positive hit the caller
+/// accepts — and offer the caller exactly the positive depths that loop
+/// sees, deepest first. NXDOMAIN (live and expired) and NS entries
+/// sit at random depths, with RFC 8020 on and off.
+TEST(CacheProperty, DeepestNsMatchesPerDepthLookups) {
+  for (const bool rfc8020 : {true, false}) {
+    Rng rng(rfc8020 ? 8020 : 2308);
+    for (int trial = 0; trial < 5000; ++trial) {
+      dns::CacheConfig config;
+      config.rfc8020 = rfc8020;
+      Cache cache(config);
+      const std::size_t labels = 1 + rng.uniform(9);
+      DnsName name;
+      for (std::size_t i = 0; i < labels; ++i) {
+        name = name.prepend("l" + std::to_string(rng.uniform(3)));
+      }
+      const dns::CacheTime now = 100 * kSec;
+      const auto ns_target = DnsName::must_parse("ns.example");
+      for (std::size_t d = 0; d <= labels; ++d) {
+        const DnsName at = name.suffix(d);
+        switch (rng.uniform(4)) {
+          case 0: cache.insert_nxdomain(at, 200, 0); break;  // live
+          case 1: cache.insert_nxdomain(at, 50, 0); break;   // expired
+          default: break;
+        }
+        switch (rng.uniform(3)) {
+          case 0:
+            cache.insert_positive({dns::make_ns(at, ns_target, 300)}, 0);
+            break;
+          case 1:  // expired
+            cache.insert_positive({dns::make_ns(at, ns_target, 60)}, 0);
+            break;
+          default: break;
+        }
+      }
+      const std::uint64_t accepts = rng.u64();
+      const auto accepted = [accepts](std::size_t n) {
+        return ((accepts >> n) & 1) != 0;
+      };
+
+      std::size_t expected = 0;
+      std::vector<std::size_t> expected_offers;
+      for (std::size_t n = labels; n > 0; --n) {
+        if (cache.lookup(name.suffix(n), RrType::kNs, now).kind !=
+            CacheHitKind::kPositive) {
+          continue;
+        }
+        expected_offers.push_back(n);
+        if (accepted(n)) {
+          expected = n;
+          break;
+        }
+      }
+
+      std::vector<std::size_t> offers;
+      const std::size_t got = cache.deepest_ns(
+          dns::NameSuffixes(name), now,
+          [&](std::size_t n, const std::vector<dns::DnsRr>& ns_set) {
+            offers.push_back(n);
+            EXPECT_EQ(ns_set.size(), 1u);
+            EXPECT_EQ(ns_set.front().name, name.suffix(n));
+            EXPECT_EQ(ns_set.front().type, RrType::kNs);
+            return accepted(n);
+          });
+      ASSERT_EQ(got, expected) << name.to_string() << " trial " << trial;
+      ASSERT_EQ(offers, expected_offers) << name.to_string();
+    }
+  }
 }
 
 }  // namespace

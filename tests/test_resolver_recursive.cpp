@@ -24,6 +24,12 @@ using resolver::QminMode;
 using resolver::RecursiveResolver;
 using resolver::ResolverConfig;
 
+ResolverConfig open_config() {
+  ResolverConfig config;
+  config.open = true;
+  return config;
+}
+
 struct MiniLab {
   sim::EventLoop loop;
   sim::Topology topology;
@@ -419,7 +425,7 @@ TEST(Recursive, SourcePortsComeFromAllocator) {
   resolver::RootHints hints;
   hints.servers = {lab.root4};
   RecursiveResolver fixed_res(
-      host2, ResolverConfig{.open = true}, hints,
+      host2, open_config(), hints,
       std::make_unique<resolver::FixedPortAllocator>(4053), Rng(17));
   bool done = false;
   fixed_res.resolve(DnsName::must_parse("www.example.test"), RrType::kA,
@@ -452,7 +458,7 @@ struct ForgeLab {
   ForgeLab()
       : host(lab.network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
              {res_addr}, Rng(16), "target"),
-        res(host, ResolverConfig{.open = true},
+        res(host, open_config(),
             resolver::RootHints{.servers = {lab.root4}},
             std::make_unique<resolver::FixedPortAllocator>(4053), Rng(17)) {
     res.set_txid_source(std::make_unique<resolver::SequentialTxidSource>(100));

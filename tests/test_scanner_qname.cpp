@@ -1,7 +1,13 @@
 // Unit + property tests: experiment query-name codec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "dns/message.h"
 #include "scanner/qname.h"
+#include "util/bytes.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -158,6 +164,82 @@ TEST(QnameCodec, KeywordGuards) {
 TEST(QnameCodec, CaseInsensitiveKeyword) {
   const QnameCodec c(DnsName::must_parse("dns-lab.org"), "X1");
   EXPECT_TRUE(c.decode(DnsName::must_parse("x1.DNS-LAB.org")).in_experiment);
+}
+
+// --- the probe query writer -------------------------------------------------
+
+/// The template in presentation form, spelled out here rather than through
+/// the codec: what encode() must produce under a "Dns-Lab.ORG" base.
+std::string presentation(const QnameInfo& info) {
+  static const char* const kTags[] = {"", ".v4", ".v6", ".tcp", "", "",
+                                      ".poison"};
+  const auto mode = static_cast<std::size_t>(info.mode);
+  return std::to_string(info.ts) + "." + QnameCodec::encode_addr(info.src) +
+         "." + QnameCodec::encode_addr(info.dst) + "." +
+         std::to_string(info.asn) + ".m" + std::to_string(mode) + ".x1" +
+         kTags[mode] + ".Dns-Lab.ORG";
+}
+
+/// write_query() must emit exactly what the message encoder emits for the
+/// same query, and encode() the independently spelled name, case included.
+void expect_query_matches(const QnameCodec& c, const QnameInfo& info,
+                          std::uint16_t id) {
+  const DnsName name = c.encode(info);
+  ASSERT_EQ(name.wire(), DnsName::must_parse(presentation(info)).wire());
+  const std::vector<std::uint8_t> expected =
+      dns::make_query(id, name, dns::RrType::kA, /*rd=*/true).encode();
+  std::vector<std::uint8_t> written = {0xAB};  // appends after what is there
+  ByteWriter w(written);
+  c.write_query(info, id, w);
+  ASSERT_EQ(std::vector<std::uint8_t>(written.begin() + 1, written.end()),
+            expected);
+  std::vector<std::uint8_t> pooled = c.query_pooled(info, id);
+  ASSERT_EQ(pooled, expected);
+  BufferPool::release(std::move(pooled));
+}
+
+TEST(QnameCodec, QueryWriterMatchesMessageEncoderAtEdges) {
+  const QnameCodec c(DnsName::must_parse("Dns-Lab.ORG"), "x1");
+  const IpAddr v4_src = IpAddr::must_parse("192.168.0.10");
+  const IpAddr v4_dst = IpAddr::must_parse("20.1.2.3");
+  const IpAddr v6_src = IpAddr::must_parse("fc00::10");
+  const IpAddr v6_dst = IpAddr::must_parse("2400:19:ffff::7");
+  for (std::size_t m = 0; m < scanner::kQueryModeCount; ++m) {
+    for (const bool v4 : {true, false}) {
+      for (const sim::SimTime ts : {sim::SimTime{0}, sim::kSimTimeMax}) {
+        for (const sim::Asn asn : {sim::Asn{0}, sim::Asn{UINT32_MAX}}) {
+          QnameInfo info;
+          info.ts = ts;
+          info.src = v4 ? v4_src : v6_src;
+          info.dst = v4 ? v4_dst : v6_dst;
+          info.asn = asn;
+          info.mode = static_cast<QueryMode>(m);
+          for (const std::uint16_t id : {0, 0xFFFF}) {
+            SCOPED_TRACE(presentation(info) + " id " + std::to_string(id));
+            expect_query_matches(c, info, static_cast<std::uint16_t>(id));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QnameCodec, QueryWriterMatchesMessageEncoderRandomized) {
+  const QnameCodec c(DnsName::must_parse("Dns-Lab.ORG"), "x1");
+  Rng rng(2026);
+  for (int i = 0; i < 10'000; ++i) {
+    QnameInfo info;
+    info.ts = static_cast<sim::SimTime>(rng.u64() >> (1 + rng.uniform(63)));
+    const bool v4 = rng.chance(0.5);
+    info.src = v4 ? IpAddr::v4(static_cast<std::uint32_t>(rng.u64()))
+                  : IpAddr::v6(rng.u64(), rng.u64());
+    info.dst = v4 ? IpAddr::v4(static_cast<std::uint32_t>(rng.u64()))
+                  : IpAddr::v6(rng.u64(), rng.u64());
+    info.asn = static_cast<sim::Asn>(rng.u64() >> rng.uniform(32));
+    info.mode = static_cast<QueryMode>(rng.uniform(scanner::kQueryModeCount));
+    SCOPED_TRACE(presentation(info));
+    expect_query_matches(c, info, static_cast<std::uint16_t>(rng.u64()));
+  }
 }
 
 TEST(QueryModeName, AllNamed) {

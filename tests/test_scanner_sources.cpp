@@ -172,6 +172,109 @@ TEST(SourceSelector, CapConfigurable) {
   EXPECT_EQ(cats.at(SourceCategory::kOtherPrefix).size(), 10u);
 }
 
+/// FNV-1a over a source list (family, address bits, category), to pin long
+/// lists compactly.
+std::uint64_t list_digest(const std::vector<SpoofedSource>& sources) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const SpoofedSource& s : sources) {
+    mix(s.addr.is_v4() ? 4 : 6);
+    mix(s.addr.bits().hi);
+    mix(s.addr.bits().lo);
+    mix(static_cast<std::uint64_t>(s.category));
+  }
+  return h;
+}
+
+/// Every other-prefix source in its own subprefix, none in the target's.
+void expect_distinct_subprefixes(const std::vector<IpAddr>& others,
+                                 const IpAddr& target) {
+  const int len = target.is_v4() ? 24 : 64;
+  std::set<std::string> seen;
+  for (const IpAddr& addr : others) {
+    EXPECT_FALSE(Prefix(target, len).contains(addr)) << addr.to_string();
+    EXPECT_TRUE(seen.insert(Prefix(addr, len).to_string()).second)
+        << "two sources in " << Prefix(addr, len).to_string();
+  }
+}
+
+// A cap of 400 takes every path past its default size: a /14 (1,024 /24s,
+// at most 4x the cap, so enumerated), a /12 (4,096 /24s: weighted draws)
+// and a v6 /40. The lists are pinned, so the dedup table's sizing cannot
+// change them.
+TEST(SourceSelector, CapAboveDefault) {
+  sim::Topology topology;
+  topology.add_as(10);
+  topology.announce(10, Prefix::must_parse("30.0.0.0/14"));
+  topology.add_as(11);
+  topology.announce(11, Prefix::must_parse("32.0.0.0/12"));
+  topology.add_as(12);
+  topology.announce(12, Prefix::must_parse("2400:40::/40"));
+  scanner::SourceSelectConfig config;
+  config.max_other_prefixes = 400;
+  SourceSelector selector(topology, {}, config, Rng(5));
+
+  const struct {
+    IpAddr target;
+    sim::Asn asn;
+    std::uint64_t digest;
+  } cases[] = {
+      {IpAddr::must_parse("30.1.2.3"), 10, 13105825951411191477ull},
+      {IpAddr::must_parse("32.7.8.9"), 11, 16444302404400193406ull},
+      {IpAddr::must_parse("2400:40:0:5::9"), 12, 456525765056647534ull},
+  };
+  for (const auto& c : cases) {
+    const auto sources = selector.sources_for(c.target, c.asn);
+    const auto cats = by_category(sources);
+    EXPECT_EQ(cats.at(SourceCategory::kOtherPrefix).size(), 400u);
+    expect_distinct_subprefixes(cats.at(SourceCategory::kOtherPrefix),
+                                c.target);
+    EXPECT_EQ(list_digest(sources), c.digest) << c.target.to_string();
+  }
+}
+
+// Overlapping announcements list some /24s more than once. Deduplication
+// keeps each /24's first occurrence, and the list it leaves feeds the
+// shuffle, so the order of survivors is part of the result: pinned here.
+TEST(SourceSelector, OverlappingAnnouncementsKeepFirstOccurrence) {
+  sim::Topology topology;
+  topology.add_as(20);  // small: /24s enumerated
+  // Listed in order: .3, .0 (.1), .0 (.1) .2 .3, .2. Before the shuffle,
+  // keeping first occurrences leaves .3 .0 .2; keeping last ones would
+  // leave .0 .3 .2.
+  for (const char* p : {"30.8.3.0/24", "30.8.0.0/23", "30.8.0.0/22",
+                        "30.8.2.0/24"}) {
+    topology.announce(20, Prefix::must_parse(p));
+  }
+  topology.add_as(21);  // large: weighted draws over 640 listed /24s
+  for (const char* p : {"40.0.0.0/16", "40.0.0.0/17", "40.0.0.0/16"}) {
+    topology.announce(21, Prefix::must_parse(p));
+  }
+  SourceSelector selector(topology, {}, {}, Rng(5));
+
+  const IpAddr small_target = IpAddr::must_parse("30.8.1.7");
+  const auto small = by_category(selector.sources_for(small_target, 20));
+  const std::vector<IpAddr> pinned = {IpAddr::must_parse("30.8.2.56"),
+                                      IpAddr::must_parse("30.8.3.81"),
+                                      IpAddr::must_parse("30.8.0.67")};
+  EXPECT_EQ(small.at(SourceCategory::kOtherPrefix), pinned);
+  expect_distinct_subprefixes(small.at(SourceCategory::kOtherPrefix),
+                              small_target);
+
+  const IpAddr large_target = IpAddr::must_parse("40.0.9.9");
+  const auto large = selector.sources_for(large_target, 21);
+  const auto large_cats = by_category(large);
+  EXPECT_EQ(large_cats.at(SourceCategory::kOtherPrefix).size(), 97u);
+  expect_distinct_subprefixes(large_cats.at(SourceCategory::kOtherPrefix),
+                              large_target);
+  EXPECT_EQ(list_digest(large), 15711778266256331620ull);
+}
+
 // Property tests over a generated population: 500 v4 ASes with prefix
 // lengths /16../24 and 500 v6 ASes with /40../48, one random target each.
 // For every target the paper's selection invariants must hold: the

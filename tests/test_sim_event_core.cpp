@@ -44,6 +44,7 @@ struct Op {
     kCancel,
     kRunUntil,
     kRun,
+    kRunFor,  // run_until(now + t)
   };
   Kind kind = kScheduleAt;
   SimTime t = 0;           // absolute time / delay / run_until bound
@@ -58,6 +59,7 @@ const char* kind_name(Op::Kind k) {
     case Op::kCancel: return "cancel";
     case Op::kRunUntil: return "run_until";
     case Op::kRun: return "run";
+    case Op::kRunFor: return "run_for";
   }
   return "?";
 }
@@ -135,6 +137,10 @@ Trace interpret(const std::vector<Op>& ops) {
         break;
       case Op::kRun:
         loop.run(1'000'000);
+        trace.entries.emplace_back(kRunMarker, loop.now());
+        break;
+      case Op::kRunFor:
+        loop.run_until(loop.now() + op.t, 1'000'000);
         trace.entries.emplace_back(kRunMarker, loop.now());
         break;
     }
@@ -269,6 +275,71 @@ TEST(EventCoreProperty, CancelHeavyProgramsMatchReferenceExactly) {
       }
       ops.push_back(op);
     }
+    if (diverges(ops)) {
+      const std::vector<Op> minimal = shrink(std::move(ops));
+      FAIL() << "wheel diverges from reference; seed=" << seed
+             << "; minimal program (" << minimal.size() << " ops):\n"
+             << format_program(minimal);
+    }
+  }
+}
+
+/// Sparse far-future programs: each round puts a few events on wheel levels
+/// 3-7 (a delay in [2^(8L), 2^(8L+1)) lands on level L), sometimes cancels
+/// one, then runs a stretch that reaches some of them or drains the wheel.
+/// Levels fill from empty and empty again over and over — on schedule and
+/// cascade, and when a level's last slot is collected or popped — so the
+/// wheel's search for the earliest due boundary is checked against the
+/// reference at every such change. Level-7 delays stay below 2^57, and for the 40 seeds the test
+/// runs every round ends more than 2^57 short of kSimTimeMax (2^62; the
+/// clock ends at 39-83% of it), so level 7 stays reachable throughout.
+std::vector<Op> gen_sparse_program(std::uint64_t seed, std::size_t rounds) {
+  Rng rng(seed);
+  std::vector<Op> ops;
+  std::uint32_t tag = 0;
+  const auto delay_on_level = [&rng](int level) {
+    const std::uint64_t low = 1ull << (8 * level);
+    return static_cast<SimTime>(low + rng.uniform(low));
+  };
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::size_t events = 1 + rng.uniform(3);
+    SimTime furthest = 0;
+    for (std::size_t e = 0; e < events; ++e) {
+      Op op;
+      op.kind = Op::kScheduleIn;
+      op.tag = tag++ & ~kNestedBit;
+      op.t = delay_on_level(3 + static_cast<int>(rng.uniform(5)));
+      furthest = std::max(furthest, op.t);
+      ops.push_back(op);
+    }
+    if (rng.uniform(4) == 0) {
+      Op op;
+      op.kind = Op::kCancel;
+      op.ref = rng.uniform(1u << 16);
+      ops.push_back(op);
+    }
+    Op run;
+    switch (rng.uniform(3)) {
+      case 0: run.kind = Op::kRun; break;  // drains every level
+      case 1:  // stops short of the furthest event
+        run.kind = Op::kRunFor;
+        run.t = static_cast<SimTime>(rng.uniform(
+            static_cast<std::uint64_t>(furthest)));
+        break;
+      default:  // just past the furthest event
+        run.kind = Op::kRunFor;
+        run.t = furthest + static_cast<SimTime>(rng.uniform(256));
+        break;
+    }
+    run.tag = tag++ & ~kNestedBit;
+    ops.push_back(run);
+  }
+  return ops;
+}
+
+TEST(EventCoreProperty, SparseFarFutureProgramsMatchReferenceExactly) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::vector<Op> ops = gen_sparse_program(seed, 80);
     if (diverges(ops)) {
       const std::vector<Op> minimal = shrink(std::move(ops));
       FAIL() << "wheel diverges from reference; seed=" << seed

@@ -109,7 +109,7 @@ TEST(OsModel, Table6AcceptanceRules) {
 }
 
 TEST(OsModel, UnknownIdThrows) {
-  EXPECT_THROW(sim::os_profile(static_cast<OsId>(250)), InvariantError);
+  EXPECT_THROW((void)sim::os_profile(static_cast<OsId>(250)), InvariantError);
 }
 
 TEST(OsModel, HostEphemeralPortStaysInsideEveryProfilesPool) {
