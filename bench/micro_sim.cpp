@@ -1,6 +1,6 @@
 // Microbenchmarks: simulator hot paths — longest-prefix routing, the event
 // loop, resolver cache, port allocators, the Beta range model, and the
-// batched packet-delivery path (events/s + allocs/packet).
+// packet-delivery path (packets/s + allocs/packet).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -100,35 +100,42 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleRun);
 
-/// The timing wheel on a persistent loop (the pools reach steady state,
+/// The event engine on a persistent loop (the pools reach steady state,
 /// unlike BM_EventLoopScheduleRun's cold loop-per-iteration): a jittered
-/// 4096-event schedule/run cycle, reporting events/s and allocs/event.
+/// schedule/run cycle of `events` delays drawn from [0, span) ticks,
+/// reporting events/s and allocs/event. 4096 events over 100k ticks is the
+/// dense shape (~40 events per 1,000 ticks); 64 events over 50 simulated
+/// seconds is the sparse shape campaigns produce, where consecutive events
+/// lie further apart than one 256-tick rotation of the retired timing wheel.
 void BM_EventLoopEngine(benchmark::State& state) {
   sim::EventLoop loop;
-  constexpr int kEvents = 4096;
+  const auto events_per_cycle = static_cast<std::size_t>(state.range(0));
+  const auto span = static_cast<std::uint64_t>(state.range(1));
   Rng rng(42);
   std::vector<sim::SimTime> delays;
-  for (int i = 0; i < kEvents; ++i) {
-    delays.push_back(static_cast<sim::SimTime>(rng.u64() % 100'000));
+  for (std::size_t i = 0; i < events_per_cycle; ++i) {
+    delays.push_back(static_cast<sim::SimTime>(rng.u64() % span));
   }
   std::uint64_t sum = 0;
   std::uint64_t events = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    for (int i = 0; i < kEvents; ++i) {
-      loop.schedule_in(delays[static_cast<std::size_t>(i)], [&sum] { ++sum; });
+    for (const sim::SimTime delay : delays) {
+      loop.schedule_in(delay, [&sum] { ++sum; });
     }
     loop.run();
     allocs += g_allocs.load(std::memory_order_relaxed) - before;
-    events += kEvents;
+    events += events_per_cycle;
   }
   benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["allocs/event"] =
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(events));
 }
-BENCHMARK(BM_EventLoopEngine);
+BENCHMARK(BM_EventLoopEngine)
+    ->Args({4096, 100'000})        // dense
+    ->Args({64, 50'000'000});      // sparse, campaign-like
 
 void BM_CacheInsertLookup(benchmark::State& state) {
   dns::Cache cache;
@@ -166,8 +173,8 @@ BENCHMARK(BM_PortAllocators);
 
 // --- delivery path -----------------------------------------------------------
 
-/// Two-AS world with one bound UDP host; the sender injects straight into
-/// the network (no source host needed).
+/// Two-AS world with one bound UDP host behind a DSAV border; the sender
+/// injects straight into the network (no source host needed).
 struct DeliveryFixture {
   sim::EventLoop loop;
   sim::Topology topo;
@@ -177,7 +184,7 @@ struct DeliveryFixture {
 
   DeliveryFixture() {
     topo.add_as(1);
-    topo.add_as(2);
+    topo.add_as(2, sim::FilterPolicy{.dsav = true});
     topo.announce(1, net::Prefix::must_parse("21.0.0.0/16"));
     topo.announce(2, net::Prefix::must_parse("22.0.0.0/16"));
     host.emplace(network, 2, sim::os_profile(sim::OsId::kUbuntu1904),
@@ -187,13 +194,22 @@ struct DeliveryFixture {
   }
 };
 
-/// Shared body: send `kBurst` packets, drain, report events/s (delivered
-/// packets) and allocs/packet. `vary_payload` breaks the content-hash tie so
-/// packets spread over distinct arrival ticks (singleton batches).
-void delivery_bench(benchmark::State& state, bool vary_payload) {
+/// A probe-sized (48-byte) payload: two varying bytes, then filler.
+void write_body(cd::ByteWriter& w, std::uint8_t lo, std::uint8_t hi) {
+  w.u8(lo);
+  w.u8(hi);
+  for (std::uint8_t i = 0; i < 46; ++i) w.u8(i);
+}
+
+/// Shared body: send `kBurst` packets, drain, report packets/s and
+/// allocs/packet. Each packet is sent header-only with a payload writer, as
+/// the probe planes send. `vary_payload` breaks the content-hash tie so
+/// packets spread over distinct arrival ticks; `spoofed` gives them a source
+/// inside the destination AS, so its DSAV border drops every one.
+void delivery_bench(benchmark::State& state, bool vary_payload, bool spoofed) {
   constexpr int kBurst = 256;
   DeliveryFixture f;
-  const auto src = net::IpAddr::must_parse("21.0.0.5");
+  const auto src = net::IpAddr::must_parse(spoofed ? "22.0.0.7" : "21.0.0.5");
   const auto dst = net::IpAddr::must_parse("22.0.0.1");
   std::uint64_t packets = 0;
   std::uint64_t allocs = 0;
@@ -203,11 +219,12 @@ void delivery_bench(benchmark::State& state, bool vary_payload) {
       const std::uint8_t lo = vary_payload ? static_cast<std::uint8_t>(i) : 0;
       const std::uint8_t hi =
           vary_payload ? static_cast<std::uint8_t>(i >> 8) : 0;
-      // Pool-recycled payload: the delivery path releases it on receipt, so
-      // in steady state the whole send->deliver cycle allocates nothing.
-      auto payload = cd::BufferPool::acquire();
-      payload.assign({lo, hi, 3, 4});
-      f.network.send(net::make_udp(src, 1000, dst, 53, std::move(payload)), 1);
+      // The network writes the payload into a pooled buffer and releases it
+      // on receipt, so in steady state the whole send->deliver cycle
+      // allocates nothing.
+      f.network.send(
+          net::make_udp(src, 1000, dst, 53, {}), 1,
+          [&](cd::ByteWriter& w) { write_body(w, lo, hi); });
     }
     f.loop.run();
     allocs += g_allocs.load(std::memory_order_relaxed) - before;
@@ -220,18 +237,24 @@ void delivery_bench(benchmark::State& state, bool vary_payload) {
 }
 
 /// Identical packets get identical content-hashed latency, so the whole
-/// burst lands on one tick: batching's best case.
+/// burst lands on one tick: 256 delivery events due at the same time.
 void BM_DeliverySameTickBurst(benchmark::State& state) {
-  delivery_bench(state, /*vary_payload=*/false);
+  delivery_bench(state, /*vary_payload=*/false, /*spoofed=*/false);
 }
 BENCHMARK(BM_DeliverySameTickBurst);
 
-/// Distinct payloads spread arrivals over distinct ticks — batches are
-/// almost all singletons, pinning the no-regression side of the ledger.
+/// Distinct payloads spread arrivals over distinct ticks.
 void BM_DeliveryJitteredSingletons(benchmark::State& state) {
-  delivery_bench(state, /*vary_payload=*/true);
+  delivery_bench(state, /*vary_payload=*/true, /*spoofed=*/false);
 }
 BENCHMARK(BM_DeliveryJitteredSingletons);
+
+/// Spoofed probes the destination border drops with no tap or capture
+/// attached: classified, counted, never written and never scheduled.
+void BM_DeliveryBorderDropped(benchmark::State& state) {
+  delivery_bench(state, /*vary_payload=*/true, /*spoofed=*/true);
+}
+BENCHMARK(BM_DeliveryBorderDropped);
 
 // --- TCP response path: bytes/s + allocs/response ---------------------------
 

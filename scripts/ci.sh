@@ -35,9 +35,9 @@ python3 -m unittest discover -s perfbench/tests
 
 echo "=== TSan build + parallel/tcp/transport/eventcore-label ctest ==="
 # The tcp label's campaign pin rows run 4 shards on 2 worker threads, each
-# driving its own timing wheel, so the node pools and slot arrays must be
+# driving its own event loop, so the node pools and heaps must be
 # provably unshared under TSan; the eventcore label adds the
-# wheel-vs-reference property programs. The transport label runs its
+# engine-vs-reference property programs. The transport label runs its
 # persistent-session campaigns through the same threaded runner.
 cmake -B "${PREFIX}-tsan" -S . -DCD_SANITIZE=thread >/dev/null
 cmake --build "${PREFIX}-tsan" -j"$(nproc)" --target test_core_parallel \

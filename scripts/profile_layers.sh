@@ -2,8 +2,8 @@
 # Layer profile of probe-serial campaigns: where a probe's CPU goes, by layer.
 #
 # Builds the campaign benchmark (perfbench/, which compiles src/) with gprof
-# instrumentation into the gitignored .bench_build/profile tree — the flag
-# goes in through CMAKE_CXX_FLAGS, so no build option is involved — runs K
+# instrumentation into the gitignored .bench_build/profile tree — the flags
+# go in through CMAKE_CXX_FLAGS, so no build option is involved — runs K
 # probe-serial worlds (400 ASes, fleet mean 1.5, 4 shards, 1 thread, UDP
 # follow-ups: the workload of that name in perfbench/run.py, on the first K
 # worlds run.py measures for the given --seed), sums their gmon.out files in
@@ -29,8 +29,14 @@ WORLDS="${2:-1}"
 BUILD=".bench_build/profile"
 RUN="${BUILD}/run"
 
+# gprof knows only global symbols: samples in a local IPA clone (.isra,
+# .constprop, .part) are charged to whichever global symbol precedes it in
+# the binary, which misnames rows (a U128 hash-table probe showed up as
+# vector<OsProfile> growth). The three -fno-* flags stop GCC making those
+# clones, so every sample lands on a function of its own name.
 cmake -S perfbench -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS=-pg >/dev/null
+  "-DCMAKE_CXX_FLAGS=-pg -fno-ipa-sra -fno-ipa-cp-clone -fno-partial-inlining" \
+  >/dev/null
 cmake --build "${BUILD}" -j"$(nproc)" --target campaign_bench >/dev/null
 
 rm -rf "${RUN}"

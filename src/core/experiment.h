@@ -96,7 +96,7 @@ struct ExperimentConfig {
   /// §6.2.1.1 pipelining window).
   int max_pipeline = 8;
   /// Server-side idle window before a persistent session is FIN-closed
-  /// (RFC 7766 §6.1), driven deterministically through the timing wheel.
+  /// (RFC 7766 §6.1), driven deterministically through the event loop.
   cd::sim::SimTime idle_timeout = 10 * cd::sim::kSecond;
   /// DoT-style sessions: each dial additionally pays a fixed hello
   /// handshake (sim::TransportOptions::dot_handshake_rtts round trips of

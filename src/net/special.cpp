@@ -56,9 +56,36 @@ const std::vector<Prefix>& special_purpose_registry(IpFamily family) {
   return family == IpFamily::kV4 ? v4 : v6;
 }
 
+namespace {
+
+/// A registry prefix as a masked compare: `addr` is inside iff
+/// (bits & mask) == value. One AND and one compare per entry, no shifts.
+struct MaskedPrefix {
+  U128 mask;
+  U128 value;
+};
+
+std::vector<MaskedPrefix> make_masked_registry(IpFamily family) {
+  std::vector<MaskedPrefix> out;
+  for (const Prefix& p : special_purpose_registry(family)) {
+    const U128 ones = p.base().is_v4() ? U128{0, 0xFFFFFFFFull}
+                                       : U128{~0ull, ~0ull};
+    const U128 mask = ones & (ones << (p.base().width() - p.length()));
+    out.push_back({mask, p.base().bits() & mask});
+  }
+  return out;
+}
+
+}  // namespace
+
 bool is_special_purpose(const IpAddr& addr) {
-  for (const Prefix& p : special_purpose_registry(addr.family())) {
-    if (p.contains(addr)) return true;
+  static const std::vector<MaskedPrefix> v4 =
+      make_masked_registry(IpFamily::kV4);
+  static const std::vector<MaskedPrefix> v6 =
+      make_masked_registry(IpFamily::kV6);
+  const U128 bits = addr.bits();
+  for (const MaskedPrefix& m : addr.is_v4() ? v4 : v6) {
+    if ((bits & m.mask) == m.value) return true;
   }
   return false;
 }
@@ -77,11 +104,9 @@ bool is_unique_local_v6(const IpAddr& addr) {
 }
 
 bool is_loopback(const IpAddr& addr) {
-  if (addr.is_v4()) {
-    static const Prefix kLoop = Prefix::must_parse("127.0.0.0/8");
-    return kLoop.contains(addr);
-  }
-  return addr == IpAddr::must_parse("::1");
+  static constexpr IpAddr kLoopbackV6 = IpAddr::v6(0, 1);  // ::1
+  if (addr.is_v4()) return (addr.v4_bits() >> 24) == 127;  // 127.0.0.0/8
+  return addr == kLoopbackV6;
 }
 
 bool is_unroutable(const IpAddr& addr) {

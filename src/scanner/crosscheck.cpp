@@ -6,7 +6,6 @@
 namespace cd::scanner {
 
 using cd::net::IpAddr;
-using cd::net::Packet;
 using cd::net::Prefix;
 
 CrossCheckProber::CrossCheckProber(cd::sim::Host& vantage, QnameCodec codec,
@@ -74,12 +73,13 @@ void CrossCheckProber::send_probe(const PrefixTarget& pt, std::uint32_t offset,
   const std::uint16_t sport =
       static_cast<std::uint16_t>(1024 + rng.uniform(64512));
   const auto id = static_cast<std::uint16_t>(rng.u64());
-  Packet pkt =
-      cd::net::make_udp(src, sport, dst, 53, codec_.query_pooled(info, id));
   // Injected at the vantage's AS, like every spoofed probe: the forged
   // packet still physically leaves our network, and only the *target*
-  // border's inbound filtering decides its fate.
-  vantage_.network().send(std::move(pkt), vantage_.asn());
+  // border's inbound filtering decides its fate. The query is written only
+  // if the network will deliver or show it.
+  vantage_.network().send(
+      cd::net::make_udp(src, sport, dst, 53, {}), vantage_.asn(),
+      [&](cd::ByteWriter& w) { codec_.write_query(info, id, w); });
   ++sent_;
 }
 

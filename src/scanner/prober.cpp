@@ -7,7 +7,6 @@
 namespace cd::scanner {
 
 using cd::net::IpAddr;
-using cd::net::Packet;
 
 namespace {
 
@@ -56,11 +55,12 @@ void Prober::send_query(const IpAddr& src, std::uint16_t sport,
   info.mode = mode;
 
   const auto id = static_cast<std::uint16_t>(target_rng(target.addr).u64());
-  Packet pkt = cd::net::make_udp(src, sport, target.addr, 53,
-                                 codec_.query_pooled(info, id));
   // Injected at the vantage's AS: a spoofed packet still physically leaves
-  // our network, so our border's (absent) OSAV is what matters.
-  vantage_.network().send(std::move(pkt), vantage_.asn());
+  // our network, so our border's (absent) OSAV is what matters. The query
+  // is written only if the network will deliver or show it.
+  vantage_.network().send(
+      cd::net::make_udp(src, sport, target.addr, 53, {}), vantage_.asn(),
+      [&](cd::ByteWriter& w) { codec_.write_query(info, id, w); });
   ++sent_;
 }
 

@@ -1,44 +1,10 @@
 #include "sim/event_loop.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/error.h"
 
 namespace cd::sim {
-namespace {
-
-// --- 256-bit occupancy bitmap helpers (4 x u64 per wheel level) --------------
-
-void bit_set(std::uint64_t bm[4], int i) { bm[i >> 6] |= 1ull << (i & 63); }
-void bit_clear(std::uint64_t bm[4], int i) { bm[i >> 6] &= ~(1ull << (i & 63)); }
-bool bit_test(const std::uint64_t bm[4], int i) {
-  return (bm[i >> 6] >> (i & 63)) & 1u;
-}
-
-/// Lowest set bit with index >= `from` (from may be 256), or -1.
-int next_bit(const std::uint64_t bm[4], int from) {
-  for (int w = from >> 6; w < 4; ++w) {
-    std::uint64_t word = bm[w];
-    if (w == (from >> 6)) word &= ~std::uint64_t{0} << (from & 63);
-    if (word != 0) return w * 64 + std::countr_zero(word);
-  }
-  return -1;
-}
-
-/// Any set bit with index <= `upto` (upto in [0, 255]).
-bool any_bit_le(const std::uint64_t bm[4], int upto) {
-  for (int w = 0; w <= (upto >> 6); ++w) {
-    std::uint64_t word = bm[w];
-    if (w == (upto >> 6) && (upto & 63) != 63) {
-      word &= (std::uint64_t{1} << ((upto & 63) + 1)) - 1;
-    }
-    if (word != 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 EventLoop::~EventLoop() {
   for (Node* chunk : chunks_) delete[] chunk;
@@ -46,9 +12,10 @@ EventLoop::~EventLoop() {
 
 EventId EventLoop::schedule_at(SimTime at, Callback fn) {
   Node* n = alloc_node();
-  n->at = std::min(std::max(at, now_), kSimTimeMax);
   n->fn = std::move(fn);
-  wheel_place(n);
+  n->queued = true;
+  ++live_;
+  heap_push(Entry{std::min(std::max(at, now_), kSimTimeMax), next_seq_++, n});
   return node_id(n);
 }
 
@@ -65,34 +32,48 @@ void EventLoop::cancel(EventId id) {
   Node* n = node_for(id);
   // Only a queued node can be cancelled: a free-list node whose generation
   // happens to match a guessed id is inert (ids of executed events never
-  // match again; recycle bumped the generation).
+  // match again; recycle bumped the generation). The node stays in the heap
+  // as a husk until it reaches the top.
   if (n == nullptr || n->cancelled || !n->queued) return;
   n->cancelled = true;
   --live_;
 }
 
 void EventLoop::run(std::uint64_t max_events) {
-  run_impl(kSimTimeMax, /*advance_to_until=*/false, max_events,
-           "EventLoop::run exceeded max_events");
+  run_impl(kSimTimeMax, max_events, "EventLoop::run exceeded max_events");
 }
 
 void EventLoop::run_until(SimTime until, std::uint64_t max_events) {
-  run_impl(std::min(until, kSimTimeMax), /*advance_to_until=*/true, max_events,
-           "EventLoop::run_until exceeded max_events");
+  until = std::min(until, kSimTimeMax);
+  run_impl(until, max_events, "EventLoop::run_until exceeded max_events");
+  now_ = std::max(now_, until);
 }
 
-void EventLoop::run_impl(SimTime until, bool advance_to_until,
-                         std::uint64_t max_events, const char* what) {
-  SimTime last_exec = now_;
+void EventLoop::run_impl(SimTime until, std::uint64_t max_events,
+                         const char* what) {
   std::uint64_t n = 0;
-  if (until >= now_) {
-    while (pop_one(n, max_events, what, until, last_exec)) {
+  while (!heap_.empty()) {
+    const Entry top = heap_.front();
+    Node* node = top.node;
+    // Husks are pruned before the time guard, and pruning one does not move
+    // the clock: now() only ever takes the time of an executed event.
+    if (node->cancelled) {
+      heap_pop();
+      recycle_node(node);
+      continue;
     }
+    if (top.at > until) return;
+    heap_pop();
+    --live_;
+    now_ = top.at;
+    Callback fn = std::move(node->fn);
+    // Recycle before invoking: the callback may schedule (reusing this node)
+    // or cancel its own id (generation bumped -> safe no-op).
+    recycle_node(node);
+    ++executed_;
+    fn();
+    CD_ENSURE(++n <= max_events, what);
   }
-  // The cursor may sit past the last *executed* event (it advanced through
-  // cancelled husks or up to the bound while searching). The observable
-  // clock is the last executed event, or the run_until bound.
-  now_ = advance_to_until ? std::max(last_exec, until) : last_exec;
 }
 
 EventLoop::Node* EventLoop::alloc_node() {
@@ -131,170 +112,38 @@ EventLoop::Node* EventLoop::node_for(EventId id) {
   return n;
 }
 
-void EventLoop::wheel_place(Node* n) {
-  const auto at = static_cast<std::uint64_t>(n->at);
-  const auto delta = static_cast<std::uint64_t>(n->at - now_);
-  const int level =
-      delta == 0 ? 0 : (63 - std::countl_zero(delta)) >> 3;
-  const int slot = static_cast<int>((at >> (level * kSlotBits)) & 0xFF);
-  WheelSlot& s = slots_[level][slot];
-  n->next = nullptr;
-  if (s.tail != nullptr) {
-    s.tail->next = n;
-  } else {
-    s.head = n;
+void EventLoop::heap_push(Entry e) {
+  std::size_t i = heap_.size();
+  heap_.push_back(e);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
-  s.tail = n;
-  bit_set(bitmap_[level], slot);
-  n->queued = true;
-  ++live_;
+  heap_[i] = e;
 }
 
-void EventLoop::wheel_collect(int level, int slot) {
-  WheelSlot& s = slots_[level][slot];
-  if (s.head == nullptr) return;
-  for (Node* n = s.head; n != nullptr; n = n->next) {
-    cascade_scratch_.push_back(n);
-  }
-  s.head = s.tail = nullptr;
-  bit_clear(bitmap_[level], slot);
-}
-
-void EventLoop::wheel_cascade() {
-  // The collected nodes are in scheduling order for any one tick: slots
-  // were collected top-down, each slot list is in scheduling order, and a
-  // node at a higher level was always scheduled earlier than a same-`at`
-  // node at a lower level (reaching a lower level requires a smaller delta,
-  // i.e. a later scheduling time for the same absolute time). Walk them in
-  // REVERSE and prepend each to its target slot: the group keeps that
-  // order, and it lands ahead of any same-`at` nodes already placed below,
-  // which were necessarily scheduled later. That is exactly same-tick FIFO.
-  for (auto it = cascade_scratch_.rbegin(); it != cascade_scratch_.rend();
-       ++it) {
-    Node* n = *it;
-    const auto at = static_cast<std::uint64_t>(n->at);
-    const auto delta = static_cast<std::uint64_t>(n->at - now_);
-    const int lv = delta == 0 ? 0 : (63 - std::countl_zero(delta)) >> 3;
-    const int sl = static_cast<int>((at >> (lv * kSlotBits)) & 0xFF);
-    WheelSlot& target = slots_[lv][sl];
-    n->next = target.head;
-    target.head = n;
-    if (target.tail == nullptr) target.tail = n;
-    bit_set(bitmap_[lv], sl);
-  }
-  cascade_scratch_.clear();
-}
-
-bool EventLoop::wheel_advance(SimTime until) {
+void EventLoop::heap_pop() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return;
+  // Sift the hole at the root down to where the former last entry fits.
+  std::size_t i = 0;
   for (;;) {
-    const auto unow = static_cast<std::uint64_t>(now_);
-    const int pos0 = static_cast<int>(unow & 0xFF);
-    // Events due at exactly now_ (the current slot drains fully before the
-    // cursor moves, so anything here is due, not stale).
-    if (bit_test(bitmap_[0], pos0)) return true;
-
-    // Ahead in the current level-0 rotation: jump straight to the slot (no
-    // window boundary sits between, so nothing can cascade in front of it).
-    const int s0 = next_bit(bitmap_[0], pos0 + 1);
-    if (s0 >= 0) {
-      const auto t = static_cast<SimTime>((unow & ~std::uint64_t{0xFF}) |
-                                          static_cast<std::uint64_t>(s0));
-      if (t > until) {
-        now_ = until;  // same rotation: no boundary crossed, nothing to cascade
-        return false;
-      }
-      now_ = t;
-      return true;
+    const std::size_t first = kArity * i + 1;
+    if (first >= size) break;
+    const std::size_t end = std::min(first + kArity, size);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
     }
-
-    // Earliest upcoming boundary that makes any occupied slot due: for each
-    // level, either the entry of an occupied slot ahead in its current
-    // rotation, or — for occupied slots at/behind the current position
-    // (content wrapped into the next rotation) — the level's rotation wrap.
-    SimTime best = INT64_MAX;
-    for (int level = 0; level < kLevels; ++level) {
-      const int shift = level * kSlotBits;
-      const int pos = static_cast<int>((unow >> shift) & 0xFF);
-      if (level >= 1) {
-        const int s = next_bit(bitmap_[level], pos + 1);
-        if (s >= 0) {
-          // Preserve the bytes above this level; at the top level there are
-          // none (a shift by shift+kSlotBits == 64 would be UB).
-          const int up = shift + kSlotBits;
-          const std::uint64_t high = up >= 64 ? 0 : (unow >> up) << up;
-          const auto t = static_cast<SimTime>(
-              high | (static_cast<std::uint64_t>(s) << shift));
-          best = std::min(best, t);
-        }
-      }
-      if (level + 1 < kLevels && any_bit_le(bitmap_[level], pos)) {
-        const int up = (level + 1) * kSlotBits;
-        const auto t = static_cast<SimTime>(((unow >> up) + 1) << up);
-        best = std::min(best, t);
-      }
-      // level == kLevels-1 wrapped content is impossible: top-level slot
-      // indices cover the full kSimTimeMax range without wrapping.
-    }
-    if (best == INT64_MAX) return false;  // wheel is empty; cursor untouched
-    if (best > until) {
-      // Every occupied slot becomes due past the bound. Jumping the cursor
-      // to `until` crosses only content-free windows, so no cascades.
-      now_ = until;
-      return false;
-    }
-    const auto old = static_cast<std::uint64_t>(now_);
-    now_ = best;
-    // Cascade every slot the cursor just entered. "Entered" means the
-    // position byte at that level (or any byte above it — a full wrap of
-    // this level) changed. All entered slots are collected first, top-down,
-    // and re-placed together: cascading them one level at a time would put
-    // a lower level's later-scheduled node ahead of a same-tick node that
-    // an upper level had just cascaded into the same slot.
-    for (int level = kLevels - 1; level >= 1; --level) {
-      if (((old ^ static_cast<std::uint64_t>(now_)) >>
-           (level * kSlotBits)) != 0) {
-        wheel_collect(level, static_cast<int>(
-                                 (static_cast<std::uint64_t>(now_) >>
-                                  (level * kSlotBits)) &
-                                 0xFF));
-      }
-    }
-    wheel_cascade();
+    if (!earlier(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
   }
-}
-
-bool EventLoop::pop_one(std::uint64_t& n, std::uint64_t max_events,
-                        const char* what, SimTime until, SimTime& last_exec) {
-  for (;;) {
-    if (!wheel_advance(until)) return false;
-    const int pos0 = static_cast<int>(static_cast<std::uint64_t>(now_) & 0xFF);
-    WheelSlot& slot = slots_[0][pos0];
-    Node* node = slot.head;
-    CD_ENSURE(node != nullptr && node->at == now_,
-              "EventLoop: wheel slot/time invariant violated");
-    slot.head = node->next;
-    if (slot.head == nullptr) {
-      slot.tail = nullptr;
-      bit_clear(bitmap_[0], pos0);
-    }
-    node->queued = false;
-    if (node->cancelled) {
-      // A cancelled node is pruned in place and does not advance the
-      // observable clock (last_exec stays put; run_impl restores now_).
-      recycle_node(node);
-      continue;
-    }
-    --live_;
-    last_exec = now_;
-    Callback fn = std::move(node->fn);
-    // Recycle before invoking: the callback may schedule (reusing this node)
-    // or cancel its own id (generation bumped -> safe no-op).
-    recycle_node(node);
-    ++executed_;
-    fn();
-    CD_ENSURE(++n <= max_events, what);
-    return true;
-  }
+  heap_[i] = last;
 }
 
 }  // namespace cd::sim

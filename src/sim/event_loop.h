@@ -1,4 +1,4 @@
-// Discrete-event simulation core: a hierarchical timing wheel of intrusive,
+// Discrete-event simulation core: a 4-ary min-heap over intrusive,
 // pool-recycled event nodes.
 #pragma once
 
@@ -15,11 +15,12 @@ using EventId = std::uint64_t;
 /// Single-threaded discrete event loop. Events scheduled for the same time
 /// run in scheduling order (stable). Cancellation is O(1).
 ///
-/// The engine is a hierarchical timing wheel over discrete SimTime ticks:
-/// 8 levels x 256 slots with per-level occupancy bitmaps, intrusive pooled
-/// event nodes, and small-buffer-optimized callbacks — zero steady-state
-/// heap allocations per scheduled event. Its observable semantics (execution
-/// order, same-tick FIFO, cancellation, now()/executed() trajectories) are
+/// The engine is a 4-ary min-heap of 24-byte {at, seq, node} entries over
+/// intrusive pooled event nodes with small-buffer-optimized callbacks — zero
+/// steady-state heap allocations per scheduled event. `seq` is the
+/// scheduling counter, so events due at the same tick pop in scheduling
+/// order by construction. Its observable semantics (execution order,
+/// same-tick FIFO, cancellation, now()/executed() trajectories) are
 /// differentially tested against a plain priority-queue reference engine
 /// that lives with the tests (tests/support/reference_event_loop.h).
 class EventLoop {
@@ -60,65 +61,58 @@ class EventLoop {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
-  static constexpr int kLevels = 8;      // 8 x 8 bits covers every SimTime
-  static constexpr int kSlotBits = 8;
-  static constexpr int kSlotsPerLevel = 1 << kSlotBits;  // 256
   static constexpr std::size_t kNodesPerChunk = 64;
+  static constexpr std::size_t kArity = 4;
 
-  /// Intrusive event node: wheel-slot linkage and the SBO callback. Slot
-  /// lists are kept in scheduling order (the FIFO tie-break). Recycled
-  /// through a free list; `gen` invalidates stale EventIds on reuse.
+  /// Intrusive event node: the SBO callback plus the id and cancellation
+  /// state. Recycled through a free list; `gen` invalidates stale EventIds
+  /// on reuse.
   struct Node {
-    SimTime at = 0;
-    Node* next = nullptr;
+    Node* next = nullptr;  // free-list link
     std::uint32_t index = 0;  // position in the node pool (id encoding)
     std::uint32_t gen = 0;
-    bool queued = false;     // linked into a wheel slot
+    bool queued = false;     // referenced by a heap entry
     bool cancelled = false;
     Callback fn;
   };
 
-  struct WheelSlot {
-    Node* head = nullptr;
-    Node* tail = nullptr;
+  /// Heap entry, ordered by (at, seq). `seq` counts schedule calls, so it
+  /// breaks every time tie in scheduling order.
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;
+    Node* node;
   };
+
+  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
   [[nodiscard]] static EventId node_id(const Node* n) {
     return (static_cast<EventId>(n->gen) << 32) |
            static_cast<EventId>(n->index + 1);
   }
 
-  void run_impl(SimTime until, bool advance_to_until,
-                std::uint64_t max_events, const char* what);
+  void run_impl(SimTime until, std::uint64_t max_events, const char* what);
 
   Node* alloc_node();
   void recycle_node(Node* n);
   [[nodiscard]] Node* node_for(EventId id);
 
-  void wheel_place(Node* n);
-  /// Unlinks a slot's nodes into cascade_scratch_ (in list order).
-  void wheel_collect(int level, int slot);
-  /// Re-places every collected node by its delta from the new now_.
-  void wheel_cascade();
-  /// Advances now_ to the next due (non-empty level-0) slot at time
-  /// <= `until`, cascading along the way. Returns false when nothing is due
-  /// by `until` (now_ is then left at min(until, its previous value) — the
-  /// caller restores the observable clock).
-  bool wheel_advance(SimTime until);
-  bool pop_one(std::uint64_t& n, std::uint64_t max_events, const char* what,
-               SimTime until, SimTime& last_exec);
+  void heap_push(Entry e);
+  /// Removes heap_.front().
+  void heap_pop();
 
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t next_seq_ = 0;
 
-  // The slot array is ~32 KiB; everything else is pooled and reaches a
-  // steady state where scheduling allocates nothing.
-  WheelSlot slots_[kLevels][kSlotsPerLevel] = {};
-  std::uint64_t bitmap_[kLevels][kSlotsPerLevel / 64] = {};
+  // Everything is pooled and reaches a steady state where scheduling
+  // allocates nothing.
+  std::vector<Entry> heap_;
   std::size_t live_ = 0;  // queued, non-cancelled nodes
   std::vector<Node*> chunks_;
   Node* free_nodes_ = nullptr;
-  std::vector<Node*> cascade_scratch_;
 };
 
 }  // namespace cd::sim

@@ -554,10 +554,6 @@ bool Host::stack_accepts(const Packet& packet) const {
   return true;
 }
 
-void Host::deliver_batch(std::span<Delivery> batch) {
-  for (const Delivery& d : batch) deliver(d.packet);
-}
-
 void Host::deliver(const Packet& packet) {
   if (packet.proto == IpProto::kUdp) {
     const auto it = udp_handlers_.find(packet.dst_port);

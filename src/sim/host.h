@@ -13,8 +13,8 @@
 //    dst, port), pipelines up to max_pipeline in-flight messages, and
 //    matches responses to handlers by DNS message ID (out-of-order replies
 //    supported). Servers close idle sessions with a FIN after an idle
-//    window (RFC 7766 §6.1), driven deterministically through the timing
-//    wheel. With transport().dot set, each dial additionally pays a fixed
+//    window (RFC 7766 §6.1), driven deterministically through the event
+//    loop. With transport().dot set, each dial additionally pays a fixed
 //    hello handshake (real stream bytes, real RTTs) plus a setup delay
 //    before the first DNS byte.
 #pragma once
@@ -174,13 +174,6 @@ class Host {
 
   /// Entry point used by Network once a packet clears all filters.
   void deliver(const cd::net::Packet& packet);
-
-  /// Batched entry point: all packets that arrived at this host on one
-  /// simulated tick, in send order. Equivalent to calling deliver() per
-  /// packet (which is exactly what the default implementation does); exists
-  /// so the network hands a same-tick batch over in one call instead of
-  /// scheduling one event-loop closure per packet.
-  void deliver_batch(std::span<Delivery> batch);
 
   /// Draws an ephemeral port from the OS-designated range (used for TCP
   /// client connections; UDP query ports are the resolver's business).

@@ -251,10 +251,17 @@ void Network::record_capture(const Packet& packet, DropReason reason,
   if (!wire.empty()) cd::BufferPool::release(std::move(wire));
 }
 
-void Network::send(Packet packet, Asn origin_asn) {
+void Network::send(Packet packet, Asn origin_asn,
+                   PayloadWriter write_payload) {
   ++stats_.sent;
   Host* host = nullptr;
   const DropReason reason = classify(packet, origin_asn, &host);
+  if (write_payload &&
+      (reason == DropReason::kNone || !taps_.empty() || !captures_.empty())) {
+    packet.payload = cd::BufferPool::acquire();
+    cd::ByteWriter w(packet.payload);
+    write_payload(w);
+  }
 
   ++dispatch_depth_;
   for (std::size_t i = 0; i < taps_.size(); ++i) {
@@ -273,89 +280,41 @@ void Network::send(Packet packet, Asn origin_asn) {
     case DropReason::kStackRejected: ++stats_.dropped_stack; break;
     case DropReason::kNone: {
       ++stats_.delivered;
+      ++stats_.delivery_batches;
       const SimTime delay = latency(origin_asn, host->asn(), packet);
-      // Coalesce into the (arrival time, host) slot: the first packet
-      // schedules the slot's single drain event and later same-slot packets
-      // ride along for the cost of a vector push.
-      const SimTime at = loop_.now() + delay;
-      const PendingSlot key{at, host};
-      if (last_slot_batch_ != nullptr && last_slot_key_ == key) {
-        last_slot_batch_->push_back(Delivery{std::move(packet), origin_asn});
-        return;
+      std::uint32_t slot;
+      if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(in_flight_.size());
+        in_flight_.emplace_back();
+      } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
       }
-      auto slot = pending_.find(key);
-      if (slot == pending_.end()) {
-        if (!slot_pool_.empty()) {
-          // Reuse a retired node — map node and batch vector capacity both
-          // recycled, so opening a slot allocates nothing in steady state.
-          auto node = std::move(slot_pool_.back());
-          slot_pool_.pop_back();
-          node.key() = key;
-          slot = pending_.insert(std::move(node)).position;
-        } else {
-          slot = pending_.try_emplace(key).first;
-        }
-        ++stats_.delivery_batches;
-        // The tiny [this, host] capture stays inside SmallFn's inline
-        // storage, and the drain fires exactly at `at`, so now() recovers
-        // the slot key.
-        loop_.schedule_at(
-            at, [this, host] { drain_batch(loop_.now(), host); });
-      }
-      last_slot_key_ = key;
-      last_slot_batch_ = &slot->second;
-      slot->second.push_back(Delivery{std::move(packet), origin_asn});
+      in_flight_[slot] = Delivery{std::move(packet), host, origin_asn};
+      // [this, slot] is 16 bytes: inside SmallFn's inline storage.
+      loop_.schedule_in(delay, [this, slot] { deliver(slot); });
       return;
     }
   }
   // Dropped at a border or the host stack: record for drop-captures, then
-  // the payload buffer is dead — recycle it instead of freeing.
+  // the payload buffer (if it was written) is dead — recycle it instead of
+  // freeing.
   if (!captures_.empty()) record_capture(packet, reason, origin_asn);
   cd::BufferPool::release(std::move(packet.payload));
 }
 
-void Network::drain_batch(SimTime at, Host* host) {
-  const auto it = pending_.find(PendingSlot{at, host});
-  if (it == pending_.end()) return;
-  // Detach the whole map node before delivering: handlers that send new
-  // traffic (always >= 1ms out) must open fresh slots, never append to a
-  // running batch — and the extracted node goes back to the slot pool
-  // afterwards instead of being freed.
-  auto node = pending_.extract(it);
-  last_slot_batch_ = nullptr;  // the memoized slot may be this node
-  std::vector<Delivery>& batch = node.mapped();
-
-  if (captures_.empty()) {
-    // Hot path: hand the host the whole batch in one call.
-    host->deliver_batch(batch);
-    for (Delivery& d : batch) {
-      cd::BufferPool::release(std::move(d.packet.payload));
-    }
-  } else {
-    // Capture at the wire in front of the destination, packet by packet, so
-    // records land in exact delivery order with the arrival timestamp.
-    for (Delivery& d : batch) {
-      record_capture(d.packet, DropReason::kNone, d.origin_asn);
-      host->deliver(d.packet);
-      cd::BufferPool::release(std::move(d.packet.payload));
-    }
+void Network::deliver(std::uint32_t slot) {
+  // Move the packet out before delivering: handlers that send new traffic
+  // may grow in_flight_ (and reuse this slot).
+  Delivery d = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  // Capture at the wire in front of the destination, so records land in
+  // exact delivery order with the arrival timestamp.
+  if (!captures_.empty()) {
+    record_capture(d.packet, DropReason::kNone, d.origin_asn);
   }
-
-  batch.clear();
-  // Recycled vectors keep a small capacity floor so a steady-state slot
-  // never grows mid-burst: hash-jittered arrivals give small same-tick
-  // multiplicities, and node<->slot pairing shuffles between bursts, so
-  // without the floor an under-sized vector keeps meeting a bigger batch.
-  // The floor (not a high-water mark) keeps one giant batch from inflating
-  // every pooled node.
-  constexpr std::size_t kSlotReserveFloor = 16;
-  if (batch.capacity() < kSlotReserveFloor) batch.reserve(kSlotReserveFloor);
-  // Generous cap: a busy shard keeps hundreds of (tick, host) slots in
-  // flight at once, and a pooled node is just a few dozen idle bytes.
-  constexpr std::size_t kSlotPoolCap = 1024;
-  if (slot_pool_.size() < kSlotPoolCap) {
-    slot_pool_.push_back(std::move(node));
-  }
+  d.host->deliver(d.packet);
+  cd::BufferPool::release(std::move(d.packet.payload));
 }
 
 Network::TapId Network::add_tap(Tap tap) {

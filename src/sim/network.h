@@ -7,25 +7,20 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
 #include "sim/event_loop.h"
 #include "sim/topology.h"
+#include "util/bytes.h"
 #include "util/pcap.h"
 #include "util/rng.h"
 
 namespace cd::sim {
 
 class Host;
-
-/// One accepted packet waiting in a same-tick delivery batch, paired with
-/// the AS it physically originated in (capture filters see the origin).
-struct Delivery {
-  cd::net::Packet packet;
-  Asn origin_asn = 0;
-};
 
 /// Where (if anywhere) a packet was dropped.
 enum class DropReason : std::uint8_t {
@@ -44,9 +39,9 @@ enum class DropReason : std::uint8_t {
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
-  /// Drain events the delivery path scheduled: one per (arrival time,
-  /// destination host) slot. delivered / delivery_batches is the mean batch
-  /// size; equal counts mean every batch held a single packet.
+  /// Delivery events the network scheduled. Each delivered packet is its
+  /// own event, so this equals `delivered`; the field stays in the campaign
+  /// results schema, where delivered / delivery_batches reads 1.
   std::uint64_t delivery_batches = 0;
   std::uint64_t dropped_osav = 0;
   std::uint64_t dropped_dsav = 0;
@@ -75,7 +70,7 @@ struct TransportOptions {
   int max_pipeline = 8;
   /// Server-side idle window: a session connection with no activity and no
   /// pending responses for this long is closed with a FIN through the
-  /// timing wheel (RFC 7766 §6.1). Per-listener overrides take precedence.
+  /// event loop (RFC 7766 §6.1). Per-listener overrides take precedence.
   SimTime idle_timeout = 10 * kSecond;
   /// DoT-like sessions: each dial pays `dot_handshake_rtts` hello round
   /// trips (kDotHelloBytes of real stream bytes per flight, per direction)
@@ -107,6 +102,32 @@ struct TransportCounters {
   }
   friend bool operator==(const TransportCounters&,
                          const TransportCounters&) = default;
+};
+
+/// Non-owning reference to a callable `void(cd::ByteWriter&)` that writes a
+/// packet's payload (see Network::send). Empty when the payload is already
+/// filled. The referenced callable must outlive the send() call, which a
+/// lambda passed straight to send() always does.
+class PayloadWriter {
+ public:
+  PayloadWriter() = default;
+
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, PayloadWriter> &&
+                std::is_invocable_v<F&, cd::ByteWriter&>>>
+  PayloadWriter(F&& f)  // NOLINT(google-explicit-constructor)
+      : callable_(&f),
+        call_([](void* callable, cd::ByteWriter& w) {
+          (*static_cast<std::remove_reference_t<F>*>(callable))(w);
+        }) {}
+
+  [[nodiscard]] explicit operator bool() const { return call_ != nullptr; }
+  void operator()(cd::ByteWriter& w) const { call_(callable_, w); }
+
+ private:
+  void* callable_ = nullptr;
+  void (*call_)(void*, cd::ByteWriter&) = nullptr;
 };
 
 /// Packet transport over a Topology. Latency between AS pairs is a
@@ -150,13 +171,18 @@ class Network {
 
   /// Sends `packet` as if it physically originated inside `origin_asn`
   /// (spoofed sources are free to disagree with reality — that is the point).
-  /// Filtering outcome is reported to taps at send time. Accepted packets
-  /// arriving at the same (SimTime, destination host) coalesce into one
-  /// pending vector drained by a single event-loop entry, which runs at the
-  /// queue position of the slot's first packet; within a slot packets
-  /// deliver in send order, and captures record them one by one with their
-  /// exact arrival timestamps.
-  void send(cd::net::Packet packet, Asn origin_asn);
+  /// Filtering outcome is reported to taps at send time. Each accepted
+  /// packet is one event-loop entry at its arrival time, so packets due at
+  /// the same tick deliver in send order, and captures record them with
+  /// their exact arrival timestamps.
+  ///
+  /// With `write_payload` set, `packet` arrives header-only and send()
+  /// fills its payload from a pooled buffer through the writer — exactly
+  /// once, and only when the packet will be delivered or a tap or capture
+  /// is attached to see it. A probe the border drops with nobody watching
+  /// is never written. The border verdict reads only the headers.
+  void send(cd::net::Packet packet, Asn origin_asn,
+            PayloadWriter write_payload = {});
 
   /// Transport-layer policy all attached hosts consult (see
   /// TransportOptions). Set before traffic flows.
@@ -233,19 +259,12 @@ class Network {
                                     Asn origin_asn, Host** out_host);
   [[nodiscard]] SimTime latency(Asn from, Asn to,
                                 const cd::net::Packet& packet) const;
-  struct PendingSlot {
-    SimTime at;
-    Host* host;
-    friend bool operator==(const PendingSlot&, const PendingSlot&) = default;
-  };
-  struct PendingSlotHash {
-    std::size_t operator()(const PendingSlot& s) const {
-      std::uint64_t h =
-          static_cast<std::uint64_t>(s.at) * 0x9E3779B97F4A7C15ULL;
-      h ^= reinterpret_cast<std::uintptr_t>(s.host) + 0x9E3779B97F4A7C15ULL +
-           (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
+  /// One accepted packet in flight, with the AS it physically originated
+  /// in (capture filters see the origin).
+  struct Delivery {
+    cd::net::Packet packet;
+    Host* host = nullptr;
+    Asn origin_asn = 0;
   };
 
   [[nodiscard]] bool capture_wants(const CaptureEntry& entry,
@@ -256,9 +275,9 @@ class Network {
   void record_capture(const cd::net::Packet& packet, DropReason reason,
                       Asn origin_asn);
   void sweep_tombstones();
-  /// Runs when the event loop reaches a (time, host) slot: hands the
-  /// pending packets to the host in send order and recycles the vector.
-  void drain_batch(SimTime at, Host* host);
+  /// Runs at a packet's arrival time: records it for captures, hands it to
+  /// its host and frees its in-flight slot.
+  void deliver(std::uint32_t slot);
 
   Topology& topology_;
   EventLoop& loop_;
@@ -273,21 +292,10 @@ class Network {
   int dispatch_depth_ = 0;
   bool pending_removal_ = false;
   TransportOptions transport_;
-  /// Same-tick pending deliveries, one vector per (arrival time, host).
-  using PendingMap =
-      std::unordered_map<PendingSlot, std::vector<Delivery>, PendingSlotHash>;
-  PendingMap pending_;
-  /// Memo of the slot the previous send landed in: a same-tick burst to one
-  /// host (batching's best case) resolves the slot once instead of
-  /// hashing per packet. Safe because unordered_map never moves nodes on
-  /// insert/rehash; drain_batch invalidates it when it extracts the node.
-  PendingSlot last_slot_key_{};
-  std::vector<Delivery>* last_slot_batch_ = nullptr;
-  /// Retired slot nodes (map node + batch vector capacity) kept for reuse:
-  /// a segmented TCP stream opens one slot per segment, so recycling whole
-  /// nodes keeps the steady-state delivery path allocation-free (bounded
-  /// free list).
-  std::vector<PendingMap::node_type> slot_pool_;
+  /// Packets in flight, indexed by the slot number their delivery event
+  /// carries; freed slots are reused, so the steady state allocates nothing.
+  std::vector<Delivery> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   NetworkStats stats_;
 };
 

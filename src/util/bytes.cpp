@@ -7,10 +7,11 @@ namespace {
 
 // Keep a bounded number of idle buffers per thread, and refuse to hoard
 // unusually large ones (a 64 KiB cap comfortably covers a max-size DNS
-// message inside a full IP packet). The idle cap is sized to a full
-// same-tick delivery burst — batched delivery releases every payload of a
-// burst before the next one acquires — so steady-state bursts recycle
-// instead of round-tripping through the allocator.
+// message inside a full IP packet). The idle cap covers a full burst of
+// in-flight packets — the network releases each payload as its packet is
+// delivered or dropped, often a whole burst before the next one acquires —
+// so steady-state bursts recycle instead of round-tripping through the
+// allocator.
 constexpr std::size_t kMaxIdle = 1024;
 constexpr std::size_t kMaxPooledCapacity = 64 * 1024;
 

@@ -1,13 +1,15 @@
-// Golden campaign digests for the single production path: the timing-wheel
-// event core, per-(tick, host) batched delivery, MSS-segmented TCP streams
-// and streamed shard worlds.
+// Golden campaign digests for the single production path: the 4-ary heap
+// event core, one event per delivered packet, MSS-segmented TCP streams and
+// streamed shard worlds.
 //
 // Every row was recorded from the last tree that still carried the retired
 // alternatives — the priority-queue event engine, per-packet delivery,
 // single-buffer TCP and materialized shard worlds. There, each alternative
 // (alone, and all of them at once) reproduced all three values of every row
-// exactly, so matching a row today proves the surviving path is identical
-// to every retired one on that campaign.
+// exactly. The timing wheel and (tick, host) batched delivery that came
+// next reproduced them too, as does the heap with per-packet events, so
+// matching a row today proves the surviving path is identical to every
+// retired one on that campaign.
 #pragma once
 
 #include <algorithm>

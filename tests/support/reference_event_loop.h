@@ -1,5 +1,5 @@
 // Test-side reference event engine: the std::priority_queue implementation
-// the timing wheel (sim/event_loop.h) replaced, kept only as the
+// the production engine (sim/event_loop.h) first replaced, kept only as the
 // differential oracle for tests/test_sim_event_core.cpp. It has the same
 // observable contract as sim::EventLoop — time order, same-tick FIFO by
 // scheduling order, O(1) cancellation, the run/run_until clock rules and the

@@ -160,10 +160,11 @@ TEST(AllocRegression, SmallFnStoresHotClosuresInline) {
 TEST(AllocRegression, CampaignAllocationsPerProbeStayBounded) {
   // One small fixed campaign (small_world_spec, one shard, one thread),
   // counted over Experiment construction and run; the world is generated
-  // outside the count. Measured at 24.1 allocations per probe; the bound
-  // leaves ~20% headroom, and a name layer that allocates per label or per
-  // compressed suffix again lands far above it.
-  constexpr double kMaxAllocsPerProbe = 29.0;
+  // outside the count. Measured at 22.6 allocations per probe (24.1 before
+  // border-dropped probes went unwritten); the bound leaves ~20% headroom,
+  // and a name layer that allocates per label or per compressed suffix
+  // again lands far above it.
+  constexpr double kMaxAllocsPerProbe = 27.0;
   const auto world = ditl::generate_world(ditl::small_world_spec());
   core::ExperimentConfig config;
   config.num_shards = 1;

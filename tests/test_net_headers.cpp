@@ -254,4 +254,64 @@ TEST(Special, Helpers) {
   EXPECT_FALSE(net::is_loopback(IpAddr::must_parse("::2")));
 }
 
+/// The registry as a plain scan over Prefix::contains: what
+/// is_special_purpose computed before its masked-compare table.
+bool special_by_scan(const IpAddr& addr) {
+  for (const net::Prefix& p : net::special_purpose_registry(addr.family())) {
+    if (p.contains(addr)) return true;
+  }
+  return false;
+}
+
+/// `a` plus or minus one, wrapping within its family.
+IpAddr step(const IpAddr& a, int delta) {
+  if (a.is_v4()) {
+    return IpAddr::v4(a.v4_bits() + static_cast<std::uint32_t>(delta));
+  }
+  return IpAddr::from_bits(a.family(), delta > 0 ? a.bits() + net::U128{1}
+                                                 : a.bits() - net::U128{1});
+}
+
+TEST(Special, MaskedTableMatchesRegistryScan) {
+  Rng rng(2020);
+  std::vector<IpAddr> probes;
+  // Every registry prefix's edges: one below its first address, the first
+  // and last address, and one above the last.
+  for (const net::IpFamily fam : {net::IpFamily::kV4, net::IpFamily::kV6}) {
+    for (const net::Prefix& p : net::special_purpose_registry(fam)) {
+      const IpAddr first = p.first();
+      const IpAddr last = p.last();
+      probes.push_back(step(first, -1));
+      probes.push_back(first);
+      probes.push_back(last);
+      probes.push_back(step(last, +1));
+      // Random addresses inside the prefix: random host bits.
+      const net::U128 host = first.bits() ^ last.bits();
+      for (int i = 0; i < 16; ++i) {
+        const net::U128 r{rng.u64(), rng.u64()};
+        probes.push_back(IpAddr::from_bits(fam, first.bits() | (r & host)));
+      }
+    }
+  }
+  // Random addresses: every v4 leading octet, and v6 with random or
+  // registry-like leading words.
+  for (int i = 0; i < 20'000; ++i) {
+    probes.push_back(IpAddr::v4(static_cast<std::uint32_t>(rng.u64())));
+    const std::uint64_t hi = rng.u64();
+    probes.push_back(IpAddr::v6(hi, rng.u64()));
+    probes.push_back(IpAddr::v6(hi >> (rng.u64() % 64), rng.u64() % 4));
+  }
+  int special = 0;
+  for (const IpAddr& addr : probes) {
+    const bool expect = special_by_scan(addr);
+    special += expect ? 1 : 0;
+    ASSERT_EQ(net::is_special_purpose(addr), expect) << addr.to_string();
+    ASSERT_EQ(net::is_loopback(addr),
+              addr.is_v4() ? (addr.v4_bits() >> 24) == 127
+                           : addr == IpAddr::must_parse("::1"))
+        << addr.to_string();
+  }
+  EXPECT_GT(special, 1000);  // the probes hit the registry, not just miss it
+}
+
 }  // namespace

@@ -1,13 +1,14 @@
-// The delivery path's golden pins: coalescing same-tick packet deliveries
-// per destination host (sim::Network) must leave every campaign exactly
-// where the retired per-packet path and the retired priority-queue event
-// engine left it. The analyst-shape rows of the campaign pin table
-// (tests/support/campaign_pins.h) run across seeds and shard counts — full
-// captures, drops included, follow-ups and analyst replays on — and must
-// reproduce their results_digest, capture_digest and per-record first-hit
-// timing digest, recorded where every retired path agreed on all three.
-// The 6-AS fixture-shape rows run in test_sim_tcp; the checked-in golden
-// capture itself is re-verified byte for byte by test_golden_pcap.
+// The delivery path's golden pins: one event per delivered packet
+// (sim::Network) must leave every campaign exactly where every earlier
+// delivery path left it — per-packet closures on the priority-queue engine,
+// then (tick, host) batches on the timing wheel. The analyst-shape rows of
+// the campaign pin table (tests/support/campaign_pins.h) run across seeds
+// and shard counts — full captures, drops included, follow-ups and analyst
+// replays on — and must reproduce their results_digest, capture_digest and
+// per-record first-hit timing digest, recorded where those paths agreed on
+// all three. The 6-AS fixture-shape rows run in test_sim_tcp; the
+// checked-in golden capture itself is re-verified byte for byte by
+// test_golden_pcap.
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
@@ -43,10 +44,9 @@ TEST(DeliveryPins, AnalystCampaignsMatchPinsAcrossSeedsAndShards) {
     EXPECT_EQ(cd::testing::first_hit_digest(merged), pin.first_hits)
         << "seed=" << pin.seed << " shards=" << pin.shards;
 
-    // Batching actually coalesced: one drain event per (tick, host) slot,
-    // never more slots than delivered packets.
+    // One delivery event per delivered packet.
     EXPECT_GT(merged.network_stats.delivery_batches, 0u);
-    EXPECT_LE(merged.network_stats.delivery_batches,
+    EXPECT_EQ(merged.network_stats.delivery_batches,
               merged.network_stats.delivered);
   }
   EXPECT_EQ(rows, 10);

@@ -1,6 +1,6 @@
-// The event-core equivalence guarantee: the hierarchical timing wheel
+// The event-core equivalence guarantee: the 4-ary heap engine
 // (sim::EventLoop) must be observably identical to the plain priority-queue
-// engine it replaced, which lives on test-side as a reference
+// engine that lives on test-side as a reference
 // (tests/support/reference_event_loop.h).
 //
 // Two layers of evidence:
@@ -8,12 +8,15 @@
 //     (with nested scheduling and cancellation from inside callbacks)
 //     against both engines and demands the exact same execution trace —
 //     tags, firing times, clock trajectory. Failures greedily delta-debug
-//     themselves down to a minimal reproducing program.
-//  2. Targeted regressions for the wheel's hard edges: same-tick FIFO across
-//     cascade levels, far-future times spanning every wheel level,
-//     schedule_in overflow saturation, cancel of already-fired ids.
+//     themselves down to a minimal reproducing program. The programs date
+//     from the hierarchical timing wheel the heap replaced, so they also
+//     sweep times across every byte of a SimTime.
+//  2. Targeted regressions for hard edges: same-tick FIFO for events
+//     scheduled from different distances, 10,000 same-tick events through
+//     cancels, far-future times, schedule_in overflow saturation, cancel of
+//     already-fired ids.
 //
-// Whole campaigns on the wheel are pinned by the campaign digest table
+// Whole campaigns are pinned by the campaign digest table
 // (tests/support/campaign_pins.h) and the golden capture (test_golden_pcap).
 #include <gtest/gtest.h>
 
@@ -152,8 +155,9 @@ Trace interpret(const std::vector<Op>& ops) {
   return trace;
 }
 
-/// Times drawn across every wheel level — same-tick collisions, the level-0
-/// rotation, mid-range cascades, and far-future instants near kSimTimeMax.
+/// Times drawn across every byte of a SimTime (each a level of the retired
+/// timing wheel) — same-tick collisions, short and mid-range delays, and
+/// far-future instants near kSimTimeMax.
 SimTime gen_time(Rng& rng) {
   switch (rng.uniform(8)) {
     case 0: return static_cast<SimTime>(rng.uniform(4));        // dense ties
@@ -246,7 +250,7 @@ TEST(EventCoreProperty, RandomProgramsMatchReferenceExactly) {
     std::vector<Op> ops = gen_program(seed, 2500);
     if (diverges(ops)) {
       const std::vector<Op> minimal = shrink(std::move(ops));
-      FAIL() << "wheel diverges from reference; seed=" << seed
+      FAIL() << "engine diverges from reference; seed=" << seed
              << "; minimal program (" << minimal.size() << " ops):\n"
              << format_program(minimal);
     }
@@ -255,7 +259,7 @@ TEST(EventCoreProperty, RandomProgramsMatchReferenceExactly) {
 
 TEST(EventCoreProperty, CancelHeavyProgramsMatchReferenceExactly) {
   // A second distribution: mostly cancels and run_until, catching clock
-  // advancement through cancelled-only stretches of the wheel.
+  // advancement through cancelled-only stretches of the queue.
   for (const std::uint64_t seed : {3ull, 5ull, 11ull}) {
     Rng rng(seed);
     std::vector<Op> ops;
@@ -277,14 +281,15 @@ TEST(EventCoreProperty, CancelHeavyProgramsMatchReferenceExactly) {
     }
     if (diverges(ops)) {
       const std::vector<Op> minimal = shrink(std::move(ops));
-      FAIL() << "wheel diverges from reference; seed=" << seed
+      FAIL() << "engine diverges from reference; seed=" << seed
              << "; minimal program (" << minimal.size() << " ops):\n"
              << format_program(minimal);
     }
   }
 }
 
-/// Sparse far-future programs: each round puts a few events on wheel levels
+/// Sparse far-future programs, written for the retired timing wheel and kept
+/// as they were: each round puts a few events on wheel levels
 /// 3-7 (a delay in [2^(8L), 2^(8L+1)) lands on level L), sometimes cancels
 /// one, then runs a stretch that reaches some of them or drains the wheel.
 /// Levels fill from empty and empty again over and over — on schedule and
@@ -342,17 +347,17 @@ TEST(EventCoreProperty, SparseFarFutureProgramsMatchReferenceExactly) {
     std::vector<Op> ops = gen_sparse_program(seed, 80);
     if (diverges(ops)) {
       const std::vector<Op> minimal = shrink(std::move(ops));
-      FAIL() << "wheel diverges from reference; seed=" << seed
+      FAIL() << "engine diverges from reference; seed=" << seed
              << "; minimal program (" << minimal.size() << " ops):\n"
              << format_program(minimal);
     }
   }
 }
 
-// --- targeted wheel edges -----------------------------------------------------
+// --- targeted edges -----------------------------------------------------------
 
-/// Every edge case runs on the wheel AND the reference, so the pair pins the
-/// same contract.
+/// Every edge case runs on the production engine AND the reference, so the
+/// pair pins the same contract.
 template <typename Loop>
 class EventCore : public ::testing::Test {};
 using Engines = ::testing::Types<EventLoop, ReferenceEventLoop>;
@@ -360,8 +365,8 @@ TYPED_TEST_SUITE(EventCore, Engines);
 
 TYPED_TEST(EventCore, SameTickFifoAcrossCascadeLevels) {
   // Ten events for one far-future tick, scheduled from progressively closer
-  // times so they enter the wheel at DIFFERENT levels and only meet in the
-  // level-0 slot after cascading. FIFO must still hold.
+  // times (on the retired timing wheel they entered DIFFERENT levels and
+  // only met in the level-0 slot after cascading). FIFO must still hold.
   TypeParam loop;
   constexpr SimTime target = (SimTime{3} << 40) + 123;
   std::vector<int> order;
@@ -382,8 +387,8 @@ TYPED_TEST(EventCore, SameTickFifoAcrossCascadeLevels) {
 }
 
 TYPED_TEST(EventCore, SameTickFifoWhenTwoLevelsCascadeTogether) {
-  // Regression: `a` is scheduled first from far away (level 2 of the
-  // wheel), `b` later and from closer (level 1) for the same tick, and one
+  // Regression from the retired timing wheel: `a` is scheduled first from
+  // far away (level 2 of the wheel), `b` later and from closer (level 1) for the same tick, and one
   // cursor move (to 0x10000) enters both of their slots. Cascading those
   // slots one level at a time put `b` ahead of `a`; `a` must run first.
   TypeParam loop;
@@ -401,7 +406,7 @@ TYPED_TEST(EventCore, SameTickFifoWhenTwoLevelsCascadeTogether) {
 TYPED_TEST(EventCore, FarFutureTimesSpanEveryLevel) {
   TypeParam loop;
   std::vector<SimTime> fired;
-  // One event per wheel level: delta = 2^(8k) + k.
+  // One event per byte of the delta: 2^(8k) + k.
   for (int k = 0; k < 8; ++k) {
     const SimTime at = (SimTime{1} << (8 * k)) + k;
     loop.schedule_at(at, [&fired, &loop] { fired.push_back(loop.now()); });
@@ -460,9 +465,59 @@ TYPED_TEST(EventCore, RunUntilNeverRunsPastBoundOverCancelledHead) {
   EXPECT_TRUE(far_ran);
 }
 
-TEST(EventCoreWheel, CancelOfRecycledIdIsInert) {
+TYPED_TEST(EventCore, TenThousandSameTickEventsKeepFifoThroughCancels) {
+  // 10,000 events for one tick, with cancels of random earlier events
+  // interleaved between the schedules. Every 1,000th event, when it runs,
+  // schedules one more event for the same tick and cancels its successor.
+  // Survivors must run in scheduling order, the nested ones after all of
+  // them.
+  TypeParam loop;
+  constexpr SimTime kTick = 5'000;
+  constexpr int kEvents = 10'000;
+  std::vector<int> order;
+  std::vector<sim::EventId> ids;
+  std::vector<bool> cancelled(kEvents, false);
+  Rng rng(17);
+  for (int i = 0; i < kEvents; ++i) {
+    ids.push_back(loop.schedule_at(kTick, [&, i] {
+      order.push_back(i);
+      if (i % 1000 == 0) {
+        loop.schedule_in(0, [&order, i] { order.push_back(kEvents + i); });
+        if (i + 1 < kEvents) loop.cancel(ids[static_cast<std::size_t>(i + 1)]);
+      }
+    }));
+    if (i % 3 == 2) {
+      const std::size_t victim = rng.uniform(ids.size());
+      loop.cancel(ids[victim]);
+      cancelled[victim] = true;
+    }
+  }
+
+  std::vector<int> expected;
+  std::vector<int> nested;
+  bool skip_next = false;
+  for (int i = 0; i < kEvents; ++i) {
+    const bool runs = !cancelled[static_cast<std::size_t>(i)] && !skip_next;
+    skip_next = false;
+    if (!runs) continue;
+    expected.push_back(i);
+    if (i % 1000 == 0) {
+      nested.push_back(kEvents + i);
+      skip_next = true;
+    }
+  }
+  expected.insert(expected.end(), nested.begin(), nested.end());
+
+  loop.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(loop.now(), kTick);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.executed(), expected.size());
+}
+
+TEST(EventCorePool, CancelOfRecycledIdIsInert) {
   // After an event fires, its id must never alias a later event — even
-  // though the wheel recycles the underlying node immediately.
+  // though the engine recycles the underlying node immediately.
   EventLoop loop;
   const auto stale = loop.schedule_at(1, [] {});
   loop.run();

@@ -1,10 +1,14 @@
 // Unit + integration tests: network filtering (OSAV/DSAV/martian), host
-// stacks (Table 6 rules as parameterized sweep), UDP delivery, and TCP.
+// stacks (Table 6 rules as parameterized sweep), UDP delivery, TCP, capture
+// taps, and payloads written on demand.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "net/packet.h"
 #include "sim/host.h"
 #include "sim/network.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace {
@@ -13,6 +17,7 @@ using namespace cd;
 using net::IpAddr;
 using net::Packet;
 using net::Prefix;
+using cd::ByteWriter;
 using sim::DropReason;
 using sim::FilterPolicy;
 using sim::Host;
@@ -486,6 +491,132 @@ TEST(CaptureTap, LegacyAddTapStillObservesSends) {
   f.network.send(udp("21.0.0.5", "22.0.0.1"), 1);
   EXPECT_EQ(seen, 2);
   f.loop.run();
+}
+
+// --- payloads written on demand ----------------------------------------------
+
+/// Writes a fixed 3-byte body and counts its calls.
+struct CountingWriter {
+  int calls = 0;
+  void operator()(ByteWriter& w) {
+    ++calls;
+    w.u8(0xAA);
+    w.u8(0xBB);
+    w.u8(0xCC);
+  }
+};
+const std::vector<std::uint8_t> kWrittenBody = {0xAA, 0xBB, 0xCC};
+
+Packet header_only(const char* src, const char* dst) {
+  return net::make_udp(IpAddr::must_parse(src), 1000, IpAddr::must_parse(dst),
+                       53, {});
+}
+
+// One border drop (OSAV at AS 3's egress) and one delivery to CaptureFixture's
+// host b.
+struct Route {
+  const char* src;
+  const char* dst;
+  sim::Asn origin;
+  DropReason reason;
+};
+constexpr Route kDropped{"22.0.0.99", "22.0.0.1", 3, DropReason::kOsav};
+constexpr Route kDelivered{"21.0.0.5", "22.0.0.1", 1, DropReason::kNone};
+
+TEST(WrittenOnDemand, BorderDropWithNoObserverNeverCallsTheWriter) {
+  CaptureFixture f;
+  CountingWriter write;
+  f.network.send(header_only(kDropped.src, kDropped.dst), kDropped.origin,
+                 write);
+  f.network.send(header_only("21.0.0.5", "99.0.0.1"), 1, write);  // unrouted
+  f.loop.run();
+  EXPECT_EQ(write.calls, 0);
+  EXPECT_EQ(f.network.stats().sent, 2u);
+  EXPECT_EQ(f.network.stats().dropped_osav, 1u);
+  EXPECT_EQ(f.network.stats().dropped_unrouted, 1u);
+}
+
+TEST(WrittenOnDemand, DeliveredPacketIsWrittenExactlyOnce) {
+  CaptureFixture f;
+  CountingWriter write;
+  f.network.send(header_only(kDelivered.src, kDelivered.dst),
+                 kDelivered.origin, write);
+  f.loop.run();
+  EXPECT_EQ(write.calls, 1);
+  ASSERT_EQ(f.delivered_wire.size(), 1u);
+  EXPECT_EQ(Packet::parse(f.delivered_wire[0]).payload, kWrittenBody);
+  EXPECT_EQ(f.network.stats().delivered, 1u);
+  EXPECT_EQ(f.network.stats().delivery_batches, 1u);
+}
+
+/// What a tap and a drop-inclusive capture saw of one send, plus what the
+/// destination host received.
+struct Observed {
+  std::vector<std::vector<std::uint8_t>> tap_wire;
+  std::vector<DropReason> tap_reasons;
+  std::vector<pcap::PcapRecord> capture;
+  std::vector<std::vector<std::uint8_t>> delivered_wire;
+  int writes = 0;
+};
+
+/// Sends `route` once through a fresh network with a tap and/or a capture
+/// attached: header-only with a writer (`on_demand`), or with the body
+/// already filled.
+Observed observe(const Route& route, bool on_demand, bool tap, bool capture) {
+  CaptureFixture f;
+  Observed out;
+  pcap::Capture sink;
+  if (tap) {
+    f.network.add_tap([&out](const Packet& pkt, DropReason r, sim::SimTime) {
+      out.tap_wire.push_back(pkt.serialize());
+      out.tap_reasons.push_back(r);
+    });
+  }
+  if (capture) {
+    Network::CaptureOptions opts;
+    opts.include_drops = true;
+    f.network.attach_capture(sink, std::move(opts));
+  }
+  CountingWriter write;
+  if (on_demand) {
+    f.network.send(header_only(route.src, route.dst), route.origin, write);
+  } else {
+    Packet pkt = header_only(route.src, route.dst);
+    pkt.payload = kWrittenBody;
+    f.network.send(std::move(pkt), route.origin);
+  }
+  f.loop.run();
+  out.capture = std::move(sink.records);
+  out.delivered_wire = std::move(f.delivered_wire);
+  out.writes = write.calls;
+  return out;
+}
+
+TEST(WrittenOnDemand, ObserversSeeTheEagerBytesAndTheWriterRunsOnce) {
+  for (const Route& route : {kDropped, kDelivered}) {
+    for (const auto& [tap, capture] :
+         {std::pair{true, false}, std::pair{false, true},
+          std::pair{true, true}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "reason=" << sim::drop_reason_name(route.reason)
+                   << " tap=" << tap << " capture=" << capture);
+      const Observed lazy = observe(route, /*on_demand=*/true, tap, capture);
+      const Observed eager = observe(route, /*on_demand=*/false, tap, capture);
+      EXPECT_EQ(lazy.writes, 1);
+      EXPECT_EQ(lazy.tap_wire, eager.tap_wire);
+      EXPECT_EQ(lazy.tap_reasons, eager.tap_reasons);
+      EXPECT_EQ(lazy.capture, eager.capture);
+      EXPECT_EQ(lazy.delivered_wire, eager.delivered_wire);
+      EXPECT_EQ(lazy.tap_wire.size(), tap ? 1u : 0u);
+      EXPECT_EQ(lazy.capture.size(), capture ? 1u : 0u);
+      EXPECT_EQ(lazy.delivered_wire.size(),
+                route.reason == DropReason::kNone ? 1u : 0u);
+      if (tap) {
+        EXPECT_EQ(lazy.tap_reasons[0], route.reason);
+        EXPECT_EQ(Packet::parse(lazy.tap_wire[0]).payload, kWrittenBody);
+      }
+    }
+  }
 }
 
 TEST(Host, AddressHelpers) {
