@@ -52,7 +52,7 @@
 
 #include "analysis/crosscheck.h"
 #include "analysis/poisoning.h"
-#include "bench_common.h"
+#include "cli.h"
 #include "core/parallel.h"
 #include "ditl/plan.h"
 #include "ditl/target_stream.h"
@@ -62,10 +62,10 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using cd::bench::flag_double;
-using cd::bench::flag_out_of_range;
-using cd::bench::flag_u64;
-using cd::bench::unknown_flag;
+using cd::cli::flag_double;
+using cd::cli::flag_out_of_range;
+using cd::cli::flag_u64;
+using cd::cli::unknown_flag;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/port_range.h"
+#include "cli.h"
 #include "dns/zone.h"
 #include "resolver/auth.h"
 #include "resolver/recursive.h"
@@ -76,7 +77,8 @@ std::vector<std::uint16_t> sample_ports(resolver::DnsSoftware software,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cd::cli::reject_args(argc, argv);
   std::printf(
       "Cache-poisoning risk assessment from observed source ports\n"
       "(an off-path attacker must guess source port x 16-bit txid; RFC 5452\n"

@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 
+#include "cli.h"
 #include "dns/zone.h"
 #include "resolver/auth.h"
 #include "resolver/recursive.h"
@@ -20,7 +21,8 @@
 
 using namespace cd;
 
-int main() {
+int main(int argc, char** argv) {
+  cd::cli::reject_args(argc, argv);
   // --- the world: your AS + the measurement infrastructure -------------------
   sim::EventLoop loop;
   sim::Topology topology;

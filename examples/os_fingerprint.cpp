@@ -13,6 +13,7 @@
 #include "analysis/beta.h"
 #include "analysis/p0f.h"
 #include "analysis/port_range.h"
+#include "cli.h"
 #include "dns/zone.h"
 #include "resolver/auth.h"
 #include "resolver/recursive.h"
@@ -20,7 +21,8 @@
 
 using namespace cd;
 
-int main() {
+int main(int argc, char** argv) {
+  cd::cli::reject_args(argc, argv);
   sim::EventLoop loop;
   sim::Topology topology;
   Rng rng(7);

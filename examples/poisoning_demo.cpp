@@ -21,6 +21,7 @@
 #include <set>
 #include <vector>
 
+#include "cli.h"
 #include "dns/zone.h"
 #include "resolver/auth.h"
 #include "resolver/recursive.h"
@@ -237,7 +238,8 @@ void run_scenario(const char* label, resolver::DnsSoftware software,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cd::cli::reject_args(argc, argv);
   std::printf(
       "Kaminsky-style poisoning race against a CLOSED resolver reachable\n"
       "only because its network lacks DSAV (paper §5.1-§5.2). Each round\n"

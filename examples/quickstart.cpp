@@ -8,11 +8,13 @@
 
 #include "analysis/classify.h"
 #include "analysis/report.h"
+#include "cli.h"
 #include "core/experiment.h"
 #include "ditl/world.h"
 #include "util/str.h"
 
-int main() {
+int main(int argc, char** argv) {
+  cd::cli::reject_args(argc, argv);
   using namespace cd;
 
   // 1. A world: ASes announcing prefixes, resolver fleets with realistic

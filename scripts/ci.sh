@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: plain build + full test suite, then the campaign
+# CI entry point: plain build + full test suite, then the wire-capture
+# export/replay round trip (scripts/pcap_replay.sh), then the campaign
 # benchmark's own tests (perfbench/tests: campaign_bench still builds
 # against src/ and its digests still match perfbench/pins.json), then three
 # sanitizer builds — ThreadSanitizer over the sharded-runner tests (label
@@ -29,6 +30,11 @@ echo "=== plain build + ctest ==="
 cmake -B "${PREFIX}" -S . >/dev/null
 cmake --build "${PREFIX}" -j"$(nproc)"
 ctest --test-dir "${PREFIX}" --output-on-failure -j"$(nproc)"
+
+echo "=== wire capture export -> replay round trip ==="
+# The report's pcap section writes the campaign's traffic, and its passive
+# section reads it back through the bounds-checked pcap reader.
+scripts/pcap_replay.sh --scale=0.05 "${PREFIX}"
 
 echo "=== campaign benchmark tests ==="
 python3 -m unittest discover -s perfbench/tests

@@ -6,8 +6,8 @@
 # analysis needs, with no simulator state on the side.
 #
 # Usage: scripts/pcap_replay.sh [--scale=X] [--seed=N] [build-dir]
-#   --scale / --seed are forwarded to both benches (defaults 0.05 / 42);
-#   build-dir defaults to build-replay.
+#   --scale / --seed are forwarded to both report runs (defaults 0.05 /
+#   42); build-dir defaults to build-replay.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,12 +26,13 @@ OUT="${BUILD}/replay.pcap"
 
 echo "=== build ==="
 cmake -B "${BUILD}" -S . >/dev/null
-cmake --build "${BUILD}" -j"$(nproc)" --target pcap_export passive_comparison
+cmake --build "${BUILD}" -j"$(nproc)" --target report
 
 echo "=== export: campaign -> ${OUT} (+.idx) ==="
 # Delivered packets only: a passive tap never sees traffic the borders
 # dropped, so the replay semantics match a real root-server capture.
-"${BUILD}/bench/pcap_export" "${SCALE}" "${SEED}" --no-drops --out="${OUT}"
+"${BUILD}/bench/report" --only=pcap "${SCALE}" "${SEED}" --no-drops \
+  --out="${OUT}"
 
 if command -v tcpdump >/dev/null 2>&1; then
   echo "=== independent reader: tcpdump -r ==="
@@ -41,6 +42,6 @@ else
 fi
 
 echo "=== replay: ${OUT} -> passive comparison ==="
-"${BUILD}/bench/passive_comparison" "${SCALE}" "${SEED}" --pcap="${OUT}"
+"${BUILD}/bench/report" --only=passive "${SCALE}" "${SEED}" --pcap="${OUT}"
 
 echo "=== pcap_replay.sh: round trip complete ==="

@@ -148,7 +148,7 @@ TEST(GoldenTables, Table3CategoryRows) {
 }
 
 TEST(GoldenTables, Table6OsAcceptanceRows) {
-  // Same probing as bench/table6_os_acceptance.cpp: four spoofed packets at
+  // Same probing as the report's table6 section: four spoofed packets at
   // each stack with no border filtering, so delivery isolates the kernel
   // acceptance rule.
   std::vector<std::pair<std::string, std::string>> rows;
